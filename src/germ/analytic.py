@@ -194,6 +194,24 @@ class LaurentDomain:
                         out[i + j] = add(out[i + j], mul(a, b))
         return self._mk(v, out, prec)
 
+    def conv(self, a, b, n):
+        """The first n+1 coefficients of the product of two coefficient
+        lists, by schoolbook: exact zeros are skipped and each output sums
+        its terms in increasing index of a, which fixes how precision is
+        tracked."""
+        add, mul, zero = self.add, self.mul, self.is_zero
+        out = [self.zero] * (n + 1)
+        nb = len(b)
+        for i in range(min(len(a), n + 1)):
+            x = a[i]
+            if zero(x):
+                continue
+            for j in range(min(nb, n - i + 1)):
+                y = b[j]
+                if not zero(y):
+                    out[i + j] = add(out[i + j], mul(x, y))
+        return out
+
     def inv(self, x):
         if self.is_zero(x):
             raise DivisionByZero("inverse of 0 in the Laurent ring")

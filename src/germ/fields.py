@@ -14,6 +14,8 @@ embeddings along the tower are computed once and cached.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 from .errors import (
     CompositeP,
@@ -27,6 +29,13 @@ from .errors import (
 FIELD_CAP = 2 ** 64
 _TABLE_LIMIT = 1 << 16      # build exp/log tables up to this field size
 _ADD_TABLE_LIMIT = 256      # full addition tables only for tiny fields
+
+# array typecode for each unsigned item width in bytes, used to unpack the
+# byte-aligned slots of a Kronecker product in one pass
+_SLOT_TYPECODES = {}
+for _tc in "BHILQ":
+    _SLOT_TYPECODES.setdefault(array(_tc).itemsize, _tc)
+del _tc
 
 
 def is_prime(n):
@@ -61,6 +70,14 @@ def _pstrip(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def _support_len(codes, cap):
+    """Length of codes[:cap] without its trailing zeros."""
+    n = min(len(codes), cap)
+    while n and codes[n - 1] == 0:
+        n -= 1
+    return n
 
 
 def _pmul(f, g, p):
@@ -200,6 +217,7 @@ class Field:
         self.zero = 0
         self.one = 1
         self._emb = {}
+        self._fold = self._fold_rows()
         self._build_tables()
 
     # -- construction helpers ----------------------------------------------
@@ -217,6 +235,19 @@ class Field:
             code, c = divmod(code, p)
             out.append(c)
         return out
+
+    def _fold_rows(self):
+        """Digit vectors of alpha**k .. alpha**(2k-2) in the modulus basis."""
+        p, k = self.p, self.k
+        row = [(-c) % p for c in self.modulus[:k]]      # alpha**k
+        rows = []
+        for _ in range(k - 1):
+            rows.append(row)
+            top = row[-1]
+            row = [0] + row[:-1]                        # times alpha
+            if top:
+                row = [(c + top * r) % p for c, r in zip(row, rows[0])]
+        return rows
 
     def _raw_mul(self, a, b):
         """Table-free multiplication; used to bootstrap the tables."""
@@ -318,6 +349,82 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def conv(self, a, b, n):
+        """The first n+1 coefficients of the product of the code lists a, b.
+
+        Kronecker substitution: every x-coefficient becomes 2k-1 byte-aligned
+        slots holding its alpha-digits, each operand is packed into one int
+        and the two are multiplied once.  A slot is wide enough for the
+        largest digit sum min(len)*k*(p-1)**2, so the product's slots are the
+        exact digit sums of the polynomial product.  Unpacking reduces them
+        mod p after folding alpha**k .. alpha**(2k-2) back along the modulus.
+        """
+        if n < 0:
+            return []
+        la, lb = _support_len(a, n + 1), _support_len(b, n + 1)
+        if not la or not lb:
+            return [0] * (n + 1)
+        p, k = self.p, self.k
+        stride = 2 * k - 1
+        width = (min(la, lb) * k * (p - 1) ** 2).bit_length() + 7 >> 3
+        typecode = None
+        for size in (1, 2, 4, 8):
+            if width <= size:
+                width, typecode = size, _SLOT_TYPECODES[size]
+                break
+        prod = self._pack(a, la, stride, width) * \
+            self._pack(b, lb, stride, width)
+        m = min(n + 1, la + lb - 1)
+        raw = prod.to_bytes((la + lb - 1) * stride * width, "little")
+        raw = memoryview(raw)[: m * stride * width]
+        if typecode is not None:
+            slots = array(typecode)
+            slots.frombytes(raw)
+            if sys.byteorder != "little":
+                slots.byteswap()
+        else:
+            slots = [int.from_bytes(raw[i: i + width], "little")
+                     for i in range(0, len(raw), width)]
+        if k == 1:
+            out = [v % p for v in slots]
+        else:
+            cols = [slots[j::stride] for j in range(stride)]
+            digits = []
+            for i in range(k):
+                col = cols[i]
+                for e, row in enumerate(self._fold):
+                    r = row[i]
+                    if r:
+                        col = [v + r * w for v, w in zip(col, cols[k + e])]
+                digits.append(col)
+            out = [v % p for v in digits[-1]]
+            for col in reversed(digits[:-1]):
+                out = [c * p + v % p for c, v in zip(out, col)]
+        if m <= n:
+            out.extend([0] * (n + 1 - m))
+        return out
+
+    def _pack(self, codes, length, stride, width):
+        """codes[:length] as one int: alpha-digit j of x-coefficient i sits
+        in the width-byte slot i*stride + j."""
+        p = self.p
+        buf = bytearray(length * stride * width)
+        step = stride * width
+        digit_bytes = (p - 1).bit_length() + 7 >> 3
+        codes = codes[:length]
+        w = 1
+        for j in range(self.k):
+            digits = codes if self.k == 1 else [c // w % p for c in codes]
+            w *= p
+            if digit_bytes == 1:
+                buf[j * width::step] = bytes(digits)
+            else:
+                for byte in range(digit_bytes):
+                    shift = 8 * byte
+                    buf[j * width + byte::step] = bytes(
+                        d >> shift & 255 for d in digits)
+        return int.from_bytes(buf, "little")
+
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -347,6 +454,19 @@ class Field:
             return a
         # Frobenius has order k, so the inverse is k - m more applications.
         return self._raw_pow(a, self.p ** (self.k - m))
+
+    def min_poly(self, a):
+        """The minimal polynomial of a over F_p, low degree first, as codes
+        of the prime subfield; the same for every image of a in the tower."""
+        orbit = [a]
+        b = self.frob(a)
+        while b != a:
+            orbit.append(b)
+            b = self.frob(b)
+        poly = [1]
+        for r in orbit:
+            poly = _code_poly_mul(self, poly, [self.neg(r), 1])
+        return tuple(poly)
 
     def from_int(self, n):
         return n % self.p
@@ -781,7 +901,9 @@ class FieldElement:
         return a.code == b.code
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.code))
+        # equal elements of different fields in one tower must hash equal,
+        # so hash what embeddings preserve
+        return hash((self.field.p, self.field.min_poly(self.code)))
 
     def __repr__(self):
         if self.field.k == 1:

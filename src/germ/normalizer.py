@@ -186,20 +186,15 @@ class _Engine:
 
     def _W(self, h):
         dom, d, n_hi = self.dom, self.d, self.n_hi
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
-        u = self.eps
         while len(self.wlist) <= h:
-            hh = len(self.wlist)
+            # W_hh = W_(hh-1) * y^d (1+eps); W_(hh-1) vanishes below d(hh-1)
+            lo = d * len(self.wlist)
             prev = self.wlist[-1]
-            out = [dom.zero] * (n_hi + 1)
-            for i in range(d * (hh - 1), n_hi + 1 - d):
-                a = prev[i]
-                if zero(a):
-                    continue
-                for n in range(i + d, n_hi + 1):
-                    b = u[n - d - i]
-                    if not zero(b):
-                        out[n] = add(out[n], mul(a, b))
+            if lo > n_hi:
+                out = [dom.zero] * (n_hi + 1)
+            else:
+                out = [dom.zero] * lo + dom.conv(
+                    prev[lo - d: n_hi + 1 - d], self.eps, n_hi - lo)
             self.wlist.append(out)
         return self.wlist[h]
 
@@ -237,18 +232,8 @@ class _Engine:
         for h, v in enumerate(self.phis):
             psi[h] = frob(v, tau)
         fam = [None, psi]
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
         for _ in range(2, self.p):
-            prev = fam[-1]
-            out = [dom.zero] * (n_hi + 1)
-            for i, a in enumerate(prev):
-                if zero(a):
-                    continue
-                for jdx in range(0, n_hi + 1 - i):
-                    b = psi[jdx]
-                    if not zero(b):
-                        out[i + jdx] = add(out[i + jdx], mul(a, b))
-            fam.append(out)
+            fam.append(dom.conv(fam[-1], psi, n_hi))
         self.twistpow[tau] = fam
         return fam
 

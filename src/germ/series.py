@@ -3,7 +3,9 @@
 A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
 ``one`` and methods ``add, sub, neg, mul, inv, pow, frob, frob_root,
-from_int, is_zero``.  Finite fields store coefficients as int codes; the
+from_int, is_zero`` and ``conv(a, b, n)``, the first n+1 coefficients of
+the product of two coefficient lists.  Every series product goes through
+``conv``.  Finite fields store coefficients as int codes; the
 analytic module supplies a t-adic domain with object coefficients.
 
 Truncation is pessimistic: ``trunc`` is the last exponent whose coefficient
@@ -149,19 +151,12 @@ class Series:
         t = min(self.trunc + o2, other.trunc + o1)
         if trunc is not None:
             t = min(t, trunc)
-        out = [dom.zero] * (t + 1)
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
-        c2 = other.coeffs
-        n2 = len(c2)
-        for i in range(o1, min(len(self.coeffs), t + 1 - o2)):
-            a = self.coeffs[i]
-            if zero(a):
-                continue
-            for j in range(o2, min(n2, t - i + 1)):
-                b = c2[j]
-                if not zero(b):
-                    out[i + j] = add(out[i + j], mul(a, b))
-        return Series(dom, out, t)
+        if o1 + o2 > t:
+            return Series.zeros(dom, t)
+        # the kernel sees no leading zeros: a high power's order would
+        # otherwise cost a packing pass over zeros on every product
+        out = dom.conv(self.coeffs[o1:], other.coeffs[o2:], t - o1 - o2)
+        return Series(dom, [dom.zero] * (o1 + o2) + out, t)
 
     def __mul__(self, other):
         return self.mul(other)
@@ -316,24 +311,6 @@ class Series:
                 break
         body = " + ".join(shown) if shown else "0"
         return f"<Series {body} (+O(x^{self.trunc + 1}))>"
-
-
-def t_operator(f):
-    """T(sum psi_n x^n) = sum psi_n^p x^n; satisfies F(Psi) = T(Psi)(F)."""
-    return f.twist(1)
-
-
-def ring_ops(f, g, op):
-    """Batch-style dispatch: add / mul / compose / reciprocal."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "compose":
-        return f.compose(g)
-    if op == "reciprocal":
-        return f.reciprocal()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def split_frobenius(f):

@@ -38,5 +38,15 @@ def make_germ(field, m, d, trunc, rng, r0_cap=1, density=0.9):
     return Germ1D(field, Series(field, co, trunc))
 
 
+def schoolbook_conv(field, a, b, n):
+    """Reference for ``field.conv``: the first n+1 coefficients of a*b,
+    from the field's scalar add and mul only."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        for j, y in enumerate(b[: n + 1 - i]):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
 def standard_fields():
     return field_create(3, 1), field_create(3, 2), field_create(2, 2)

@@ -169,3 +169,19 @@ def test_serialization_roundtrip():
     assert again is f9
     x = f9.element([2, 1])
     assert f9.element(list(x.coeffs)) == x
+
+
+@pytest.mark.parametrize("p,ks", [(3, (1, 2, 4)), (2, (1, 2, 4))])
+def test_equal_elements_hash_equal_along_tower(p, ks):
+    fields = [field_create(p, k) for k in ks]
+    for i, small in enumerate(fields):
+        for big in fields[i + 1:]:
+            for code in small.elements():
+                x = small.wrap(code)
+                y = x.embed(big)
+                assert x == y and y == x
+                assert hash(x) == hash(y)
+                assert len({x, y}) == 1
+    assert len({f.element(1) for f in fields}) == 1
+    top = fields[-1]
+    assert len({top.wrap(c) for c in top.elements()}) == top.q

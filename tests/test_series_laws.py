@@ -1,0 +1,78 @@
+"""Ring laws of truncated series multiplication, as hypothesis properties.
+
+Products are compared where both sides are determined, i.e. up to the
+smaller of the two pessimistic truncations.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from germ.fields import field_create  # noqa: E402
+from germ.series import Series  # noqa: E402
+from germ_testutil import schoolbook_conv  # noqa: E402
+
+FIELDS = [field_create(3, 1), field_create(3, 2), field_create(2, 2)]
+
+laws = settings(max_examples=120, deadline=None, derandomize=True,
+                database=None)
+
+
+@st.composite
+def series_over(draw, field):
+    trunc = draw(st.integers(0, 40))
+    code = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    coeffs = draw(st.lists(code, min_size=trunc + 1, max_size=trunc + 1))
+    lead = draw(st.integers(0, trunc + 1))
+    return Series(field, [0] * lead + coeffs[lead:], trunc)
+
+
+@st.composite
+def triples(draw):
+    field = draw(st.sampled_from(FIELDS))
+    f, g, h = (draw(series_over(field)) for _ in range(3))
+    return f, g, h, draw(st.integers(0, 50))
+
+
+def agree(lhs, rhs):
+    t = min(lhs.trunc, rhs.trunc)
+    return lhs.coeffs[: t + 1] == rhs.coeffs[: t + 1]
+
+
+@laws
+@given(triples())
+def test_mul_commutative(fgh):
+    f, g, _, t = fgh
+    assert (f * g).coeffs == (g * f).coeffs
+    assert (f * g).trunc == (g * f).trunc
+    assert f.mul(g, trunc=t).coeffs == g.mul(f, trunc=t).coeffs
+
+
+@laws
+@given(triples())
+def test_mul_associative(fgh):
+    f, g, h, t = fgh
+    assert agree((f * g) * h, f * (g * h))
+    assert agree(f.mul(g, trunc=t).mul(h, trunc=t),
+                 f.mul(g.mul(h, trunc=t), trunc=t))
+
+
+@laws
+@given(triples())
+def test_mul_distributive(fgh):
+    f, g, h, _ = fgh
+    assert agree(f * (g + h), f * g + f * h)
+    assert agree((g + h) * f, g * f + h * f)
+
+
+@laws
+@given(triples())
+def test_mul_matches_schoolbook(fgh):
+    f, g, _, t = fgh
+    prod = f.mul(g, trunc=t)
+    assert prod.coeffs == schoolbook_conv(f.dom, f.coeffs, g.coeffs,
+                                          prod.trunc)
+    assert prod.trunc == min(f.trunc + g.ord_floor(),
+                             g.trunc + f.ord_floor(), t)
