@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .invariants import InvariantProfile, profile
-from .normalizer import ConjugacyWitness, _Engine, verify_conjugacy
+from .normalizer import ConjugacyWitness, solve_prescribed, verify_conjugacy
 from .series import Germ1D, Series
 
 _INF = math.inf
@@ -179,20 +179,7 @@ class LaurentDomain:
             ly = _INF if y.prec is None else y.prec
             prec = min(int(min(lx, ly)), self.prec)
         cap = conv_len if prec is None else min(conv_len, prec)
-        if len(x.unit) == 1 and len(y.unit) == 1:
-            out = [self.base.mul(x.unit[0], y.unit[0])]
-        else:
-            mul, add = self.base.mul, self.base.add
-            out = [0] * cap
-            for i, a in enumerate(x.unit):
-                if not a or i >= cap:
-                    continue
-                for j, b in enumerate(y.unit):
-                    if i + j >= cap:
-                        break
-                    if b:
-                        out[i + j] = add(out[i + j], mul(a, b))
-        return self._mk(v, out, prec)
+        return self._mk(v, self.base.conv(x.unit, y.unit, cap - 1), prec)
 
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of two coefficient
@@ -222,16 +209,7 @@ class LaurentDomain:
         if len(x.unit) == 1:
             return LaurentScalar(-x.val, (base.inv(x.unit[0]),), x.prec)
         ln = self.prec if x.prec is None else min(x.prec, self.prec)
-        inv0 = base.inv(x.unit[0])
-        out = [0] * ln
-        out[0] = inv0
-        for n in range(1, ln):
-            acc = 0
-            for j in range(1, min(n, len(x.unit) - 1) + 1):
-                c = x.unit[j]
-                if c:
-                    acc = base.add(acc, base.mul(c, out[n - j]))
-            out[n] = base.neg(base.mul(inv0, acc))
+        out = Series(base, x.unit, ln - 1).reciprocal().coeffs
         return self._mk(-x.val, out, ln)
 
     def div(self, x, y):
@@ -308,16 +286,6 @@ def tval(x):
     return x.val
 
 
-def laurent_ops(dom, x, y, op):
-    if op == "add":
-        return dom.add(x, y)
-    if op == "mul":
-        return dom.mul(x, y)
-    if op == "inv":
-        return dom.inv(x)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # conjugacy to the truncation
 # ---------------------------------------------------------------------------
@@ -359,10 +327,8 @@ def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
     x_star = truncation_target(prof)
     n_tilde = x_star // step - d
     target_unit = list(unit[: n_tilde + 1])
-    eng = _Engine(dom, prof, unit, j_hi, mode="prescribed",
-                  target_unit=target_unit)
-    eng.solve()
-    phi = Series(dom, list(eng.phis), j_hi)
+    phis, transcript = solve_prescribed(dom, prof, unit, j_hi, target_unit)
+    phi = Series(dom, phis, j_hi)
     vo = verify_order
     if vo is None:
         vo = min(step * (d + n_hi), max(x_star + 2 * step, 48))
@@ -377,8 +343,7 @@ def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
         raise UnsolvableRoot(
             f"prescribed-target witness fails at degree "
             f"{report.first_disagreement}")
-    return ConjugacyWitness(phi, dom.one, report.checked_order,
-                            eng.transcript)
+    return ConjugacyWitness(phi, dom.one, report.checked_order, transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .analytic import (
     truncation_target,
     tval,
 )
-from .errors import GermError, ParseError, ValidationError
+from .errors import GermError
 from .invariants import (
     InvariantProfile,
     JTable,
@@ -33,12 +33,6 @@ from .invariants import (
 )
 from .normalizer import bottcher_product, normal_form, verify_conjugacy
 from .multidim import monomial_conjugacy
-
-
-def _write(args, payload):
-    text = jsonio.dump(payload, getattr(args, "out", None))
-    if getattr(args, "out", None) in (None, "-"):
-        sys.stdout.write(text)
 
 
 def _write_text(args, text):
@@ -58,7 +52,7 @@ def cmd_invariants(args):
     if prof.e >= 1:
         thr = stable_threshold(prof)
         out["stable_threshold"] = [thr.numerator, thr.denominator]
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0
 
 
@@ -89,7 +83,7 @@ def cmd_normalize(args):
                     if "roots_considered" in rec:
                         row["roots_considered"] = rec["roots_considered"]
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0
 
 
@@ -100,7 +94,7 @@ def cmd_bottcher(args):
     out = {"schema": jsonio.SCHEMA, "command": "bottcher",
            "verified_order": wit.verified_order,
            "phi": jsonio.series_to_dict(dom, wit.phi)}
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0
 
 
@@ -114,7 +108,7 @@ def cmd_conjcheck(args):
     out = {"schema": jsonio.SCHEMA, "command": "conjcheck",
            "ok": report.ok, "checked_order": report.checked_order,
            "first_disagreement": report.first_disagreement}
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0 if report.ok else 2
 
 
@@ -130,7 +124,7 @@ def cmd_compose(args):
         out["profile"] = profile(comp).to_dict()
     except GermError as exc:
         out["profile_error"] = str(exc)
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0
 
 
@@ -147,10 +141,8 @@ def cmd_iterate(args):
         ok = (actual.m == frag.m and actual.d == frag.d
               and actual.e == frag.e and actual.r[0] == frag.r0)
         out["match"] = ok
-        _write(args, out)
-        return 0 if ok else 2
-    _write(args, out)
-    return 0
+    _write_text(args, jsonio.dump(out))
+    return 0 if out.get("match", True) else 2
 
 
 def cmd_infinity(args):
@@ -161,7 +153,7 @@ def cmd_infinity(args):
     out = {"schema": jsonio.SCHEMA, "command": "infinity",
            "germ": jsonio.germ_to_dict(f),
            "profile": profile(f).to_dict()}
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0
 
 
@@ -175,7 +167,7 @@ def cmd_multinorm(args):
                       for e, c in sorted(s.terms.items())})
     out = {"schema": jsonio.SCHEMA, "command": "multinorm",
            "verified_degree": verified, "phi": comps}
-    _write(args, out)
+    _write_text(args, jsonio.dump(out))
     return 0
 
 
@@ -309,9 +301,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

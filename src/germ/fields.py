@@ -63,10 +63,10 @@ def is_prime(n):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z_p: plain int lists, low degree first
+# polynomials over a domain: code lists, low degree first, no trailing zeros
 # ---------------------------------------------------------------------------
 
-def _pstrip(f):
+def _strip(f):
     while f and f[-1] == 0:
         f.pop()
     return f
@@ -80,53 +80,60 @@ def _support_len(codes, cap):
     return n
 
 
-def _pmul(f, g, p):
+def _poly_mul(dom, f, g):
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return _pstrip(out)
+    return _strip(dom.conv(f, g, len(f) + len(g) - 2))
 
 
-def _pmod(f, g, p):
-    """f mod g with g monic."""
+def _poly_sub(dom, f, g):
+    n = max(len(f), len(g))
+    f = list(f) + [0] * (n - len(f))
+    g = list(g) + [0] * (n - len(g))
+    return _strip([dom.sub(a, b) for a, b in zip(f, g)])
+
+
+def _poly_divmod(dom, f, g):
+    """(f // g, f mod g) for monic g."""
     f = list(f)
     dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        c = f[-1]
+    q = [0] * max(0, len(f) - dg)
+    terms = [(i, c) for i, c in enumerate(g[:dg]) if c]
+    sub, mul = dom.sub, dom.mul
+    while len(f) > dg:
+        c = f.pop()
         if c:
-            shift = len(f) - 1 - dg
-            for i in range(dg):
-                f[shift + i] = (f[shift + i] - c * g[i]) % p
-        f.pop()
-    return _pstrip(f)
+            shift = len(f) - dg
+            q[shift] = c
+            for i, gi in terms:
+                f[shift + i] = sub(f[shift + i], mul(c, gi))
+    return _strip(q), _strip(f)
 
 
-def _pmonic(f, p):
-    inv = pow(f[-1], p - 2, p)
-    return [(c * inv) % p for c in f]
+def _poly_monic(dom, f):
+    if not f or f[-1] == 1:
+        return list(f)
+    c = dom.inv(f[-1])
+    return [dom.mul(a, c) for a in f]
 
 
-def _pgcd(f, g, p):
+def _poly_gcd(dom, f, g):
     f, g = list(f), list(g)
     while g:
-        f, g = g, _pmod(f, g, p)
-    return _pmonic(f, p) if f else []
+        f, g = g, _poly_divmod(dom, f, _poly_monic(dom, g))[1]
+    return _poly_monic(dom, f)
 
-def _ppowmod(f, e, g, p):
+
+def _poly_powmod(dom, f, e, g):
     """f**e mod g, g monic."""
-    result = [1]
-    f = _pmod(f, g, p)
+    r = [1]
+    f = _poly_divmod(dom, f, g)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, f, p), g, p)
-        f = _pmod(_pmul(f, f, p), g, p)
+            r = _poly_divmod(dom, _poly_mul(dom, r, f), g)[1]
+        f = _poly_divmod(dom, _poly_mul(dom, f, f), g)[1]
         e >>= 1
-    return result
+    return r
 
 
 def _prime_factors(n):
@@ -143,13 +150,6 @@ def _prime_factors(n):
     return out
 
 
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _pstrip([(a - b) % p for a, b in zip(f, g)])
-
-
 def _is_irreducible(f, p):
     """Rabin's test for monic f over Z_p."""
     n = len(f) - 1
@@ -157,13 +157,13 @@ def _is_irreducible(f, p):
         return False
     if n == 1:
         return True
+    fp = field_create(p, 1)
     x = [0, 1]
-    h = _ppowmod(x, p ** n, f, p)
-    if _psub(h, x, p):
+    if _poly_sub(fp, _poly_powmod(fp, x, p ** n, f), x):
         return False
     for t in _prime_factors(n):
-        h = _ppowmod(x, p ** (n // t), f, p)
-        if len(_pgcd(f, _psub(h, x, p), p)) - 1 != 0:
+        h = _poly_powmod(fp, x, p ** (n // t), f)
+        if len(_poly_gcd(fp, f, _poly_sub(fp, h, x))) != 1:
             return False
     return True
 
@@ -251,11 +251,13 @@ class Field:
 
     def _raw_mul(self, a, b):
         """Table-free multiplication; used to bootstrap the tables."""
+        if self.k == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        prod = _pmul(self._decode(a), self._decode(b), self.p)
-        prod = _pmod(prod, list(self.modulus), self.p)
-        return self._encode(prod)
+        fp = self.parent
+        prod = _poly_mul(fp, self._decode(a), self._decode(b))
+        return self._encode(_poly_divmod(fp, prod, self.modulus)[1])
 
     def _raw_pow(self, a, e):
         r = 1
@@ -268,7 +270,7 @@ class Field:
 
     def _build_tables(self):
         q = self.q
-        self._exp = self._log = self._frob_tab = self._neg_tab = None
+        self._exp = self._log = self._neg_tab = None
         self._add_tab = None
         if q > _TABLE_LIMIT:
             return
@@ -290,10 +292,6 @@ class Field:
         p = self.p
         self._neg_tab = [self._encode([(-c) % p for c in self._decode(a)])
                          for a in range(q)]
-        self._frob_tab = [self._raw_pow(a, p) for a in range(q)]
-        self._froot_tab = [0] * q
-        for a in range(q):
-            self._froot_tab[self._frob_tab[a]] = a
         if q <= _ADD_TABLE_LIMIT:
             if p == 2:
                 self._add_tab = None  # xor path
@@ -436,24 +434,12 @@ class Field:
 
     def frob(self, a, m=1):
         """a**(p**m)."""
-        m %= self.k
-        if self._frob_tab is not None:
-            for _ in range(m):
-                a = self._frob_tab[a]
-            return a
-        return self._raw_pow(a, self.p ** m)
+        return self.pow(a, self.p ** (m % self.k))
 
     def frob_root(self, a, m=1):
-        """The unique root of y**(p**m) = a; finite fields are perfect."""
-        m %= self.k
-        if m == 0:
-            return a
-        if self._frob_tab is not None:
-            for _ in range(m):
-                a = self._froot_tab[a]
-            return a
-        # Frobenius has order k, so the inverse is k - m more applications.
-        return self._raw_pow(a, self.p ** (self.k - m))
+        """The unique root of y**(p**m) = a; finite fields are perfect.
+        Frobenius has order k, so its inverse is k - m more applications."""
+        return self.pow(a, self.p ** (-m % self.k))
 
     def min_poly(self, a):
         """The minimal polynomial of a over F_p, low degree first, as codes
@@ -464,8 +450,9 @@ class Field:
             orbit.append(b)
             b = self.frob(b)
         poly = [1]
-        for r in orbit:
-            poly = _code_poly_mul(self, poly, [self.neg(r), 1])
+        for r in orbit:  # times (x - r): a linear factor needs no conv
+            poly = [self.sub(hi, self.mul(r, lo))
+                    for hi, lo in zip([0] + poly, poly + [0])]
         return tuple(poly)
 
     def from_int(self, n):
@@ -581,80 +568,6 @@ def field_create(p, k, modulus=None):
 # root finding (Cantor-Zassenhaus, degree-1 equal-degree splitting)
 # ---------------------------------------------------------------------------
 
-def _code_poly_mod(field, f, g):
-    """f mod g over the field, g monic in codes."""
-    f = list(f)
-    dg = len(g) - 1
-    while f and len(f) - 1 >= dg:
-        c = f[-1]
-        if c:
-            shift = len(f) - 1 - dg
-            for i in range(dg):
-                f[shift + i] = field.sub(f[shift + i], field.mul(c, g[i]))
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _code_poly_mul(field, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = field.add(out[i + j], field.mul(a, b))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _code_poly_monic(field, f):
-    if not f or f[-1] == 1:
-        return list(f)
-    c = field.inv(f[-1])
-    return [field.mul(a, c) for a in f]
-
-
-def _code_poly_gcd(field, f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _code_poly_mod(field, f, _code_poly_monic(field, g))
-    return _code_poly_monic(field, f)
-
-
-def _code_poly_div(field, f, g):
-    """Quotient f // g, exact division by monic g assumed when remainder 0."""
-    f = list(f)
-    g = _code_poly_monic(field, g)
-    dg = len(g) - 1
-    q = [0] * max(0, len(f) - dg)
-    while f and len(f) - 1 >= dg:
-        c = f[-1]
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        if c:
-            for i in range(dg):
-                f[shift + i] = field.sub(f[shift + i], field.mul(c, g[i]))
-        f.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _code_powmod(field, f, e, g):
-    r = [1]
-    f = _code_poly_mod(field, list(f), g)
-    while e:
-        if e & 1:
-            r = _code_poly_mod(field, _code_poly_mul(field, r, f), g)
-        f = _code_poly_mod(field, _code_poly_mul(field, f, f), g)
-        e >>= 1
-    return r
-
-
 def _split_linear(field, g, rng):
     """All roots of g, where g is monic, squarefree and splits into linear
     factors over the field."""
@@ -665,46 +578,32 @@ def _split_linear(field, g, rng):
         return [field.neg(g[0])]
     q = field.q
     while True:
-        r = [field.rand(rng) for _ in range(deg)]
-        while r and r[-1] == 0:
-            r.pop()
+        r = _strip([field.rand(rng) for _ in range(deg)])
         if not r:
             continue
         if field.p == 2:
-            # absolute trace r + r^2 + ... + r^(2^(k-1)) splits in char 2
+            # absolute trace r + r^2 + ... + r^(2^(k-1)) splits in char 2,
+            # where subtraction is addition
             s = list(r)
             acc = list(r)
             for _ in range(field.k - 1):
-                acc = _code_poly_mod(field, _code_poly_mul(field, acc, acc), g)
-                s = [field.add(a, b) for a, b in
-                     zip(s + [0] * max(0, len(acc) - len(s)),
-                         acc + [0] * max(0, len(s) - len(acc)))]
-            while s and s[-1] == 0:
-                s.pop()
+                acc = _poly_divmod(field, _poly_mul(field, acc, acc), g)[1]
+                s = _poly_sub(field, s, acc)
             if not s:
                 continue
-            t = _code_poly_gcd(field, g, s)
+            t = _poly_gcd(field, g, s)
         else:
-            s = _code_powmod(field, r, (q - 1) // 2, g)
-            s1 = list(s)
-            if s1:
-                s1[0] = field.sub(s1[0], 1)
-            else:
-                s1 = [field.neg(1)]
-            while s1 and s1[-1] == 0:
-                s1.pop()
-            t = _code_poly_gcd(field, g, s1)
+            s = _poly_powmod(field, r, (q - 1) // 2, g)
+            t = _poly_gcd(field, g, _poly_sub(field, s, [1]))
         if 0 < len(t) - 1 < deg:
-            other = _code_poly_div(field, g, t)
+            other = _poly_divmod(field, g, t)[0]
             return _split_linear(field, t, rng) + \
                 _split_linear(field, other, rng)
 
 
 def _field_roots(field, coeffs, rng):
     """Distinct roots (codes) of the code-coefficient polynomial in field."""
-    f = list(coeffs)
-    while f and f[-1] == 0:
-        f.pop()
+    f = _strip(list(coeffs))
     if not f:
         raise ValueError("zero polynomial")
     roots = []
@@ -714,16 +613,9 @@ def _field_roots(field, coeffs, rng):
             f.pop(0)
     if len(f) <= 1:
         return roots
-    f = _code_poly_monic(field, f)
-    xq = _code_powmod(field, [0, 1], field.q, f)
-    diff = [field.sub(a, b) for a, b in
-            zip(xq + [0, 0], [0, 1] + [0] * len(xq))]
-    while diff and diff[-1] == 0:
-        diff.pop()
-    if not diff:
-        g = f
-    else:
-        g = _code_poly_gcd(field, f, diff)
+    f = _poly_monic(field, f)
+    xq = _poly_powmod(field, [0, 1], field.q, f)
+    g = _poly_gcd(field, f, _poly_sub(field, xq, [0, 1]))
     roots.extend(_split_linear(field, g, rng))
     return roots
 
@@ -743,31 +635,21 @@ def poly_roots(coeffs, allow_extension=False, seed=0):
     codes = [c.embed(field).code for c in coeffs]
     rng = random.Random(seed)
     roots = _field_roots(field, codes, rng)
+    f = _strip(list(codes))
     if roots or not allow_extension:
-        if not roots and not allow_extension:
-            f = [c for c in codes]
-            while f and f[-1] == 0:
-                f.pop()
-            if len(f) - 1 >= 1:
-                raise NoRootInField("no root in the current field")
+        if not roots and len(f) > 1:
+            raise NoRootInField("no root in the current field")
         return sorted((FieldElement(field, r) for r in roots),
                       key=lambda e: e.coeffs), field
     # minimal extension degree: first delta with gcd(x^(q^delta) - x, f) != 1
-    f = [c for c in codes]
-    while f and f[-1] == 0:
-        f.pop()
-    f = _code_poly_monic(field, f)
+    f = _poly_monic(field, f)
     y = [0, 1]
     delta = 0
     found = None
     while delta < len(f) - 1:
         delta += 1
-        y = _code_powmod(field, y, field.q, f)
-        diff = [field.sub(a, b) for a, b in
-                zip(y + [0, 0], [0, 1] + [0] * len(y))]
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if not diff or len(_code_poly_gcd(field, f, diff)) - 1 > 0:
+        y = _poly_powmod(field, y, field.q, f)
+        if len(_poly_gcd(field, f, _poly_sub(field, y, [0, 1]))) > 1:
             if delta == 1:
                 continue  # would have been found in-field
             found = delta
@@ -780,15 +662,6 @@ def poly_roots(coeffs, allow_extension=False, seed=0):
     roots_up = _field_roots(big, codes_up, random.Random(seed))
     return sorted((FieldElement(big, r) for r in roots_up),
                   key=lambda e: e.coeffs), big
-
-
-def frobenius_root(x, m):
-    """The unique y with y**(p**m) = x."""
-    return FieldElement(x.field, x.field.frob_root(x.code, m))
-
-
-def frobenius(x, m=1):
-    return FieldElement(x.field, x.field.frob(x.code, m))
 
 
 def unity_relation(zeta, n):
@@ -910,15 +783,3 @@ class FieldElement:
             return f"F{self.field.p}({self.code})"
         return f"F{self.field.q}{list(self.coeffs)}"
 
-
-def arith(x, y, op, n=None):
-    """Dispatch helper mirroring the batch interface: add/mul/inv/pow."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inverse()
-    if op == "pow":
-        return x ** n
-    raise ValueError(f"unknown op {op!r}")

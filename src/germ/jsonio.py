@@ -125,10 +125,7 @@ def multigerm_from_dict(d):
             eps.append(MultiSeries(field, n, trunc, terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad multigerm payload: {exc}") from exc
-    try:
-        return MultiGerm(field, cvec, dmat, tuple(eps), trunc)
-    except ValidationError:
-        raise
+    return MultiGerm(field, cvec, dmat, tuple(eps), trunc)
 
 
 def load(path):
@@ -139,10 +136,5 @@ def load(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def dump(obj, path=None):
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        return text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
+def dump(obj):
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"

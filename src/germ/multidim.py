@@ -475,12 +475,6 @@ def monomial_conjugacy(f: MultiGerm, trunc=12):
     return phi_full, t
 
 
-def leading_part(f: MultiGerm):
-    """(C, D) recomputed from the lowest term of each component (for the
-    invariance check: shape-preserving conjugacies leave them alone)."""
-    return f.cvec, f.dmat
-
-
 @dataclass
 class DiagonalScaling:
     delta: tuple | None

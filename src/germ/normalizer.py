@@ -512,6 +512,20 @@ class _Engine:
 # public operations
 # ---------------------------------------------------------------------------
 
+def solve_prescribed(dom, prof: InvariantProfile, unit, j_hi, target_unit):
+    """Witness coefficients phi_0..phi_j_hi onto a prescribed target.
+
+    ``unit`` is the unit part 1 + eps of the normalized source and
+    ``target_unit`` that of the target, both as coefficient lists over
+    ``dom``; the fiber recursion fixes each phi_j from the equations its
+    fiber shares with the target.  Returns (phis, transcript).  Nothing is
+    checked by composition: callers verify the witness themselves."""
+    eng = _Engine(dom, prof, unit, j_hi, mode="prescribed",
+                  target_unit=target_unit)
+    eng.solve()
+    return eng.phis, eng.transcript
+
+
 def normalize_unit(f: Germ1D):
     """Conjugate by x -> lam*x so the leading unit coefficient becomes 1.
 
@@ -679,35 +693,6 @@ def verify_conjugacy(f: Germ1D, f_target: Germ1D, phi_full: Series, trunc):
     checked = min(lhs.trunc, rhs.trunc, trunc)
     bad = lhs.truncate(checked).agree_order(rhs.truncate(checked))
     return ConjReport(bad is None, checked, bad)
-
-
-def lhs_rhs_coeffs(f: Germ1D, f_target: Germ1D, phi: Series, n: int):
-    """Degree-n coefficients of both sides of the unit conjugacy relation:
-    (1+eps(y)) phi(y^d(1+eps)) vs (T^m phi)^d (1 + eps~(y T^m phi)).
-
-    Computed by truncated series algebra over the y-coordinate; all entering
-    coefficients must lie within the truncations."""
-    prof = profile(f)
-    g, m = f.split()
-    gt, mt = f_target.split()
-    if mt != m:
-        raise ValidationError("targets must share the Frobenius depth m")
-    d = g.ord()
-    u = Series(f.dom, g.coeffs[d:], g.trunc - d)
-    ut = Series(f.dom, gt.coeffs[gt.ord():], gt.trunc - gt.ord())
-    w = u.shift(d)
-    phi_y = phi.truncate(min(phi.trunc, n))
-    lhs = u.mul(phi_y.compose(w, trunc=n), trunc=n)
-    tphi = phi_y.twist(m)
-    ytp = tphi.shift(1)
-    # ut is the full unit 1 + eps~, so composing with y*T^m(phi) already
-    # carries the constant term
-    rhs = tphi.pow_int(d, trunc=n).mul(ut.compose(ytp, trunc=n), trunc=n)
-    if n > lhs.trunc or n > rhs.trunc:
-        raise UnassignedDependency(
-            f"degree {n} exceeds determined range (lhs {lhs.trunc}, "
-            f"rhs {rhs.trunc})")
-    return lhs.coeff(n), rhs.coeff(n)
 
 
 def check_nf_conditions(nf: NormalForm):

@@ -1,5 +1,6 @@
 """Shared fuzz helpers for the test suite."""
 
+from germ.errors import UnassignedDependency, ValidationError
 from germ.fields import field_create
 from germ.series import Germ1D, Series
 
@@ -50,3 +51,31 @@ def schoolbook_conv(field, a, b, n):
 
 def standard_fields():
     return field_create(3, 1), field_create(3, 2), field_create(2, 2)
+
+
+def lhs_rhs_coeffs(f, f_target, phi, n):
+    """Degree-n coefficients of both sides of the unit conjugacy relation:
+    (1+eps(y)) phi(y^d(1+eps)) vs (T^m phi)^d (1 + eps~(y T^m phi)).
+
+    Computed by truncated series algebra over the y-coordinate; all entering
+    coefficients must lie within the truncations."""
+    g, m = f.split()
+    gt, mt = f_target.split()
+    if mt != m:
+        raise ValidationError("targets must share the Frobenius depth m")
+    d = g.ord()
+    u = Series(f.dom, g.coeffs[d:], g.trunc - d)
+    ut = Series(f.dom, gt.coeffs[gt.ord():], gt.trunc - gt.ord())
+    w = u.shift(d)
+    phi_y = phi.truncate(min(phi.trunc, n))
+    lhs = u.mul(phi_y.compose(w, trunc=n), trunc=n)
+    tphi = phi_y.twist(m)
+    ytp = tphi.shift(1)
+    # ut is the full unit 1 + eps~, so composing with y*T^m(phi) already
+    # carries the constant term
+    rhs = tphi.pow_int(d, trunc=n).mul(ut.compose(ytp, trunc=n), trunc=n)
+    if n > lhs.trunc or n > rhs.trunc:
+        raise UnassignedDependency(
+            f"degree {n} exceeds determined range (lhs {lhs.trunc}, "
+            f"rhs {rhs.trunc})")
+    return lhs.coeff(n), rhs.coeff(n)

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from germ.analytic import (LaurentDomain, certificate, check_growth,
-                           conjugacy_to_truncation, laurent_ops,
-                           truncation_target)
+                           conjugacy_to_truncation, truncation_target)
 from germ.errors import (DivisionByZero, PrecisionExhausted, UnsolvableRoot,
                          ValidationError)
 from germ.fields import field_create
 from germ.invariants import InvariantProfile, profile
-from germ.normalizer import ConjugacyWitness
+from germ.normalizer import ConjugacyWitness, solve_prescribed
 from germ.series import Germ1D, Series
 
 F3 = field_create(3, 1)
@@ -24,9 +23,9 @@ def scalar(val, digits):
 def test_laurent_ops_examples():
     x = L.t_power(2)
     y = scalar(0, [1, 2, 1])
-    assert laurent_ops(L, x, y, "mul").val == 2
-    assert laurent_ops(L, x, y, "add").val == 0
-    inv = laurent_ops(L, L.mul(x, y), None, "inv")
+    assert L.mul(x, y).val == 2
+    assert L.add(x, y).val == 0
+    inv = L.inv(L.mul(x, y))
     assert inv.val == -2
     with pytest.raises(DivisionByZero):
         L.inv(L.zero)
@@ -97,18 +96,14 @@ def test_conjugacy_constant_coefficients_match_field_solver():
     wit = conjugacy_to_truncation(lf, order=40)
     assert all(c.val >= 0 for c in wit.phi.coeffs)
     # solving downstairs then lifting agrees coefficientwise
-    from germ.analytic import _Engine
-    from germ.invariants import profile as prof_fn
-    pr = prof_fn(f)
+    pr = profile(f)
     src = f.series.extended(3 + pr.r[0] + 40 + 3)
     g, _ = Germ1D(F3, src).split()
     unit = g.coeffs[3:]
     x_star = truncation_target(pr)
-    eng = _Engine(F3, pr, unit, 40, mode="prescribed",
-                  target_unit=unit[: x_star - 3 + 1])
-    eng.solve()
+    phis, _ = solve_prescribed(F3, pr, unit, 40, unit[: x_star - 3 + 1])
     for n in range(1, 41):
-        assert L.is_zero(L.sub(wit.phi.coeffs[n], L.constant(eng.phis[n])))
+        assert L.is_zero(L.sub(wit.phi.coeffs[n], L.constant(phis[n])))
 
 
 def test_conjugacy_nontrivial_valuations():

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
-from germ.fields import (field_create, frobenius, frobenius_root,
+from germ.fields import (_is_irreducible, default_modulus, field_create,
                          poly_roots, unity_relation)
 
 
@@ -56,24 +57,32 @@ def test_field_axioms_exhaustive(p, k):
 
 def test_frobenius_root_examples():
     f3 = field_create(3, 1)
-    assert frobenius_root(f3.element(2), 1) == f3.element(2)
+    assert f3.element(2).frobenius_root(1) == f3.element(2)
     f9 = field_create(3, 2, (1, 0, 1))
     rng = random.Random(1)
     for _ in range(20):
         x = f9.wrap(f9.rand(rng))
-        assert frobenius_root(frobenius(x, 1), 1) == x
+        assert x.frobenius(1).frobenius_root(1) == x
     # unique cube root of alpha, checked by exhausting all nine elements
     alpha = f9.element([0, 1])
     brute = [f9.wrap(c) for c in f9.elements() if f9.pow(c, 3) == alpha.code]
     assert len(brute) == 1
-    assert frobenius_root(alpha, 1) == brute[0]
+    assert alpha.frobenius_root(1) == brute[0]
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 1), (3, 2), (5, 1), (3, 11)])
 def test_frobenius_root_roundtrip(p, k):
     f = field_create(p, k)
+    if f.q <= 1 << 16:
+        sample = f.elements()
+    else:  # table-free field: a seeded sample instead of every element
+        rng = random.Random(11)
+        sample = [f.rand(rng) for _ in range(200)]
+        for c in sample:
+            for m in range(2 * k):
+                assert f.frob(c, m) == f.pow(c, p ** m)
     for m in range(5):
-        for c in f.elements():
+        for c in sample:
             r = f.frob_root(c, m)
             assert f.pow(r, p ** m) == c
 
@@ -185,3 +194,42 @@ def test_equal_elements_hash_equal_along_tower(p, ks):
     assert len({f.element(1) for f in fields}) == 1
     top = fields[-1]
     assert len({top.wrap(c) for c in top.elements()}) == top.q
+
+
+def _sympy_poly(coeffs, p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p)
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 4), (3, 5), (5, 3)])
+def test_is_irreducible_matches_sympy(p, max_deg):
+    for deg in range(1, max_deg + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            f = list(low) + [1]
+            assert _is_irreducible(f, p) == \
+                _sympy_poly(f, p).is_irreducible, f
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (2, 16), (3, 5), (3, 6), (3, 12),
+                                 (3, 27), (5, 3), (7, 12), (11, 6)])
+def test_default_modulus_irreducible(p, k):
+    f = list(default_modulus(p, k))
+    assert len(f) == k + 1 and f[-1] == 1
+    assert _sympy_poly(f, p).is_irreducible
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_poly_roots_match_sympy(p):
+    f = field_create(p, 1)
+    rng = random.Random(p)
+    for _ in range(25):
+        deg = rng.randrange(1, 8)
+        coeffs = [rng.randrange(p) for _ in range(deg)] + \
+            [1 + rng.randrange(p - 1)]
+        want = {int(r) % p for r in _sympy_poly(coeffs, p).ground_roots()}
+        try:
+            got = {r.code for r in
+                   poly_roots([f.wrap(c) for c in coeffs], seed=1)[0]}
+        except NoRootInField:
+            got = set()
+        assert got == want, coeffs

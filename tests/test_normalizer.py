@@ -7,11 +7,11 @@ from germ.fields import field_create, unity_relation
 from germ.invariants import choice_bound, fiber, jays, profile
 from germ.normalizer import (bhard_extract, bottcher_product,
                              check_nf_conditions, enumerate_normal_forms,
-                             lhs_rhs_coeffs, min_trunc, normal_form,
+                             min_trunc, normal_form,
                              normalize_unit, random_conjugate,
                              verify_conjugacy)
 from germ.series import Germ1D, Series, revert
-from germ_testutil import make_germ
+from germ_testutil import lhs_rhs_coeffs, make_germ
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
