@@ -144,14 +144,15 @@ class LaurentDomain:
             if ln <= 0:
                 return LaurentScalar(end, (), 0)
             ln = min(ln, self.prec)
-        add = self.base.add
-        out = [0] * int(ln)
-        for s in (x, y):
-            base = s.val - v
-            for i, dgt in enumerate(s.unit):
-                idx = base + i
-                if idx < ln and dgt:
-                    out[idx] = add(out[idx], dgt)
+        ln = int(ln)
+        lo, hi = (x, y) if x.val <= y.val else (y, x)
+        out = list(lo.unit[:ln])
+        out += [0] * (ln - len(out))
+        off = hi.val - v
+        top = min(len(hi.unit), ln - off)
+        if top > 0:
+            out[off: off + top] = map(self.base.add, out[off: off + top],
+                                      hi.unit[:top])
         return self._mk(v, out, prec)
 
     def neg(self, x):

@@ -19,7 +19,8 @@ from .analytic import (
     truncation_target,
     tval,
 )
-from .errors import GermError
+from .errors import GermError, ParseError, ValidationError
+from .fields import is_prime
 from .invariants import (
     InvariantProfile,
     JTable,
@@ -89,7 +90,10 @@ def cmd_normalize(args):
 
 def cmd_bottcher(args):
     f = jsonio.germ_from_dict(jsonio.load(args.germ))
-    wit = bottcher_product(f, trunc=args.order)
+    try:
+        wit = bottcher_product(f, trunc=args.order)
+    except ValueError as exc:  # the germ is not of the shape the path needs
+        raise ValidationError(str(exc)) from exc
     dom = f.dom
     out = {"schema": jsonio.SCHEMA, "command": "bottcher",
            "verified_order": wit.verified_order,
@@ -146,9 +150,7 @@ def cmd_iterate(args):
 
 
 def cmd_infinity(args):
-    body = jsonio.load(args.poly)
-    field = jsonio.field_from_dict(body.get("field", {}))
-    coeffs = [field.wrap(field.from_vec(v)) for v in body.get("coeffs", [])]
+    coeffs = jsonio.poly_from_dict(jsonio.load(args.poly))
     f = germ_at_infinity(coeffs, trunc=args.order)
     out = {"schema": jsonio.SCHEMA, "command": "infinity",
            "germ": jsonio.germ_to_dict(f),
@@ -193,21 +195,58 @@ def cmd_growth(args):
 
 
 def cmd_jtable(args):
-    r = tuple(int(t) for t in args.r.split(","))
+    r = args.r
     e = len(r) - 1
     d = args.d
     if d is None:
         d = args.p ** e
         if d * args.p ** args.m < 2:
             d *= 2 if args.p > 2 else 3
-    prof = InvariantProfile(args.p, args.m, d, e, r)
+    try:
+        prof = InvariantProfile(args.p, args.m, d, e, r)
+    except ValueError as exc:
+        raise ValidationError(f"no such profile: {exc}") from exc
     table = JTable.build(prof, args.nmax)
     _write_text(args, table.to_tsv())
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one ``error:`` line, like any bad input."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _checked_int(ok, what):
+    """An argparse type: an integer for which ``ok`` holds."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {what}")
+        return value
+    return parse
+
+
+_count = _checked_int(lambda v: v >= 1, "an integer >= 1")
+_natural = _checked_int(lambda v: v >= 0, "an integer >= 0")
+_prime = _checked_int(is_prime, "a prime")
+
+
+def _r_sequence(text):
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="germ",
         description="classify superattracting germs in characteristic p")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -223,7 +262,7 @@ def build_parser():
     germ_arg(sp)
     sp.add_argument("--choice", default="ndoubleprime",
                     choices=["nprime", "ndoubleprime"])
-    sp.add_argument("--order", type=int, default=64)
+    sp.add_argument("--order", type=_count, default=64)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--allow-extension", dest="allow_extension",
                     action="store_true", default=True)
@@ -234,51 +273,52 @@ def build_parser():
 
     sp = sub.add_parser("bottcher", help="coprime-degree product witness")
     germ_arg(sp)
-    sp.add_argument("--order", type=int, default=64)
+    sp.add_argument("--order", type=_count, default=64)
     sp.add_argument("--out")
 
     sp = sub.add_parser("conjcheck", help="verify a conjugacy by composition")
     sp.add_argument("f")
     sp.add_argument("g")
     sp.add_argument("phi")
-    sp.add_argument("--order", type=int, default=64)
+    sp.add_argument("--order", type=_count, default=64)
     sp.add_argument("--out")
 
     sp = sub.add_parser("compose", help="compose two germs, check the bound")
     sp.add_argument("f")
     sp.add_argument("g")
-    sp.add_argument("--order", type=int)
+    sp.add_argument("--order", type=_count)
     sp.add_argument("--out")
 
     sp = sub.add_parser("iterate", help="iterate invariants")
     germ_arg(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--check", action="store_true")
-    sp.add_argument("--order", type=int)
+    sp.add_argument("--order", type=_count)
     sp.add_argument("--out")
 
     sp = sub.add_parser("infinity", help="germ at infinity of a polynomial")
     sp.add_argument("poly")
-    sp.add_argument("--order", type=int)
+    sp.add_argument("--order", type=_count)
     sp.add_argument("--out")
 
     sp = sub.add_parser("multinorm", help="monomial conjugacy in N variables")
     germ_arg(sp)
-    sp.add_argument("--degree", type=int, default=12)
+    sp.add_argument("--degree", type=_count, default=12)
     sp.add_argument("--out")
 
     sp = sub.add_parser("growth", help="t-adic growth certificate")
     germ_arg(sp)
-    sp.add_argument("--order", type=int, default=64)
+    sp.add_argument("--order", type=_count, default=64)
     sp.add_argument("--out")
 
     sp = sub.add_parser("jtable", help="fiber-index table as TSV")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--d", type=int, help="defaults to the smallest degree "
+    sp.add_argument("--p", type=_prime, required=True)
+    sp.add_argument("--m", type=_natural, default=0)
+    sp.add_argument("--d", type=_count, help="defaults to the smallest degree "
                     "matching the r sequence")
-    sp.add_argument("--r", required=True, help="comma-separated r sequence")
-    sp.add_argument("--nmax", type=int, default=30)
+    sp.add_argument("--r", type=_r_sequence, required=True,
+                    help="comma-separated r sequence")
+    sp.add_argument("--nmax", type=_natural, default=30)
     sp.add_argument("--out")
     return ap
 
@@ -298,8 +338,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except GermError as exc:
         print(f"error: {exc}", file=sys.stderr)

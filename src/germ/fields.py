@@ -356,6 +356,11 @@ class Field:
         largest digit sum min(len)*k*(p-1)**2, so the product's slots are the
         exact digit sums of the polynomial product.  Unpacking reduces them
         mod p after folding alpha**k .. alpha**(2k-2) back along the modulus.
+
+        Packing and folding cost about k**2 steps per coefficient: a shorter
+        operand of fewer than k terms over a table field that adds in one
+        step (p = 2 or an addition table) measured faster summed term by
+        term through the exp/log tables.
         """
         if n < 0:
             return []
@@ -363,6 +368,19 @@ class Field:
         if not la or not lb:
             return [0] * (n + 1)
         p, k = self.p, self.k
+        if min(la, lb) < k and self._exp is not None and \
+                (p == 2 or self._add_tab is not None):
+            exp, log, q1, add = self._exp, self._log, self.q - 1, self.add
+            out = [0] * (n + 1)
+            logs_b = [(j, log[y]) for j, y in enumerate(b[:lb]) if y]
+            for i, x in enumerate(a[:la]):
+                if x:
+                    lx = log[x]
+                    for j, ly in logs_b:
+                        if i + j > n:
+                            break
+                        out[i + j] = add(out[i + j], exp[(lx + ly) % q1])
+            return out
         stride = 2 * k - 1
         width = (min(la, lb) * k * (p - 1) ** 2).bit_length() + 7 >> 3
         typecode = None
@@ -677,11 +695,12 @@ def unity_relation(zeta, n):
 class FieldElement:
     """An element of F_{p^k}: coefficient vector in the modulus basis."""
 
-    __slots__ = ("field", "code")
+    __slots__ = ("field", "code", "_hash")
 
     def __init__(self, field, code):
         self.field = field
         self.code = code
+        self._hash = None
 
     @property
     def coeffs(self):
@@ -775,8 +794,11 @@ class FieldElement:
 
     def __hash__(self):
         # equal elements of different fields in one tower must hash equal,
-        # so hash what embeddings preserve
-        return hash((self.field.p, self.field.min_poly(self.code)))
+        # so hash what embeddings preserve; the minimal polynomial costs a
+        # Frobenius orbit, so it is found once per element
+        if self._hash is None:
+            self._hash = hash((self.field.p, self.field.min_poly(self.code)))
+        return self._hash
 
     def __repr__(self):
         if self.field.k == 1:

@@ -144,7 +144,7 @@ class _Engine:
         self.lhs_acc = list(self.eps)       # sum of phi_h W_h over assigned h
         self.eps_t = {}
         self.supp = []                      # (i, step, M, tau) with eps_t[i] != 0
-        self.twistpow = {}                  # tau -> [None, psi, psi^2, ...]
+        self.twistpow = {}                  # tau -> [None, psi, ..., psi^c]
         self.chains = {}                    # (tau, M) -> memoised prefix
 
         # slot bases: the distinct invariant positions, with the multiplier
@@ -222,20 +222,26 @@ class _Engine:
 
     # -- right-hand side ---------------------------------------------------------
 
-    def _twist_family(self, tau):
-        fam = self.twistpow.get(tau)
-        if fam is not None:
-            return fam
+    def _twist_power(self, tau, c):
+        """Coefficients of psi^c, psi = T^tau phi, unassigned phi's read as
+        zero.  A family starts with every power the registered support will
+        read and grows only when a later eps needs a higher one: over a
+        Laurent domain a power's precision depends on when it was formed."""
         dom, n_hi = self.dom, self.n_hi
-        psi = [dom.zero] * (n_hi + 1)
-        frob = dom.frob
-        for h, v in enumerate(self.phis):
-            psi[h] = frob(v, tau)
-        fam = [None, psi]
-        for _ in range(2, self.p):
-            fam.append(dom.conv(fam[-1], psi, n_hi))
-        self.twistpow[tau] = fam
-        return fam
+        fam = self.twistpow.get(tau)
+        if fam is None:
+            psi = [dom.zero] * (n_hi + 1)
+            frob = dom.frob
+            for h, v in enumerate(self.phis):
+                psi[h] = frob(v, tau)
+            fam = [None, psi]
+            self.twistpow[tau] = fam
+            for (_, _, mexp, tau0) in self.supp:
+                if tau0 <= tau:
+                    c = max(c, mexp // self.p ** (tau - tau0) % self.p)
+        while len(fam) <= c:
+            fam.append(dom.conv(fam[-1], fam[1], n_hi))
+        return fam[c]
 
     def _final_cap(self, tau, mexp):
         if mexp % self.p:
@@ -250,7 +256,7 @@ class _Engine:
         if mexp == 0:
             return dom.one if l == 0 else dom.zero
         if mexp < self.p:
-            return self._twist_family(tau)[mexp][l]
+            return self._twist_power(tau, mexp)[l]
         if mexp % self.p == 0:
             if l % self.p:
                 return dom.zero
@@ -273,7 +279,7 @@ class _Engine:
         dom, p = self.dom, self.p
         c0 = mexp % p
         mp = mexp // p
-        small = self._twist_family(tau)[c0]
+        small = self._twist_power(tau, c0)
         total = dom.zero
         add, mul, zero = dom.add, dom.mul, dom.is_zero
         for b in range(0, l // p + 1):

@@ -249,7 +249,12 @@ class Series:
         out[0] = self.coeffs[0] if self.coeffs else dom.zero
         acc = None
         add, mul, zero = dom.add, dom.mul, dom.is_zero
-        for l in range(1, len(self.coeffs)):
+        # powers of inner past the outer's last nonzero coefficient are never
+        # read; t above still comes from self.trunc, not from that degree
+        deg = len(self.coeffs) - 1
+        while deg > 0 and zero(self.coeffs[deg]):
+            deg -= 1
+        for l in range(1, deg + 1):
             if l * og > t:
                 break
             acc = inner.truncate(t) if acc is None else acc.mul(inner, trunc=t)

@@ -41,8 +41,9 @@ def make_germ(field, m, d, trunc, rng, r0_cap=1, density=0.9):
 
 def schoolbook_conv(field, a, b, n):
     """Reference for ``field.conv``: the first n+1 coefficients of a*b,
-    from the field's scalar add and mul only."""
-    out = [0] * (n + 1)
+    from the domain's scalar add and mul only, each output summed in
+    increasing index of a."""
+    out = [field.zero] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         for j, y in enumerate(b[: n + 1 - i]):
             out[i + j] = field.add(out[i + j], field.mul(x, y))

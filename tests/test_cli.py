@@ -157,3 +157,58 @@ def test_laurent_roundtrip(tmp_path):
     f2 = jsonio.laurent_germ_from_dict(json.loads(json.dumps(d)))
     for a, b in zip(f.series.coeffs, f2.series.coeffs):
         assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)
+
+
+_FIELD3 = {"p": 3, "k": 1, "modulus": [0, 1]}
+_SERIES = {"trunc": 20, "coeffs": [[0], [0], [0], [1], [1]]}
+_GERM = {"field": _FIELD3, "series": _SERIES}
+
+
+_BAD_INPUTS = [
+    ("top-level-list", {"f": [1, 2]}, ["invariants", "{f}"]),
+    ("p-as-string", {"f": dict(_GERM, field=dict(_FIELD3, p="3"))},
+     ["invariants", "{f}"]),
+    ("huge-k", {"f": dict(_GERM, field=dict(_FIELD3, k=10 ** 9))},
+     ["invariants", "{f}"]),
+    ("vector-longer-than-k",
+     {"f": dict(_GERM, series={"trunc": 20,
+                               "coeffs": [[0], [0], [0], [1, 2], [1]]})},
+     ["normalize", "{f}"]),
+    ("iterate-n-0", {"f": _GERM}, ["iterate", "{f}", "--n", "0"]),
+    ("negative-order", {"f": _GERM}, ["normalize", "{f}", "--order", "-3"]),
+    ("order-not-int", {"f": _GERM},
+     ["compose", "{f}", "{f}", "--order", "x"]),
+    ("composite-p", {}, ["jtable", "--p", "4", "--r", "1"]),
+    ("r-e-nonzero", {}, ["jtable", "--p", "3", "--r", "1"]),
+    ("r-not-ints", {}, ["jtable", "--p", "3", "--r", "1,zero"]),
+    ("unknown-command", {}, ["frobnicate"]),
+    ("growth-on-field-germ", {"f": _GERM}, ["growth", "{f}"]),
+    ("ragged-matrix", {"f": {"field": _FIELD3, "N": 2, "C": [[1], [1]],
+                             "D": [[2, 1], [0]], "eps": [{}, {}]}},
+     ["multinorm", "{f}"]),
+    ("poly-vector-longer-than-k",
+     {"f": {"field": _FIELD3, "coeffs": [[0], [2], [0], [1, 1]]}},
+     ["infinity", "{f}"]),
+    ("phi-without-trunc",
+     {"f": _GERM, "phi": {"field": _FIELD3, "series": {"coeffs": []}}},
+     ["conjcheck", "{f}", "{f}", "{phi}"]),
+    ("bottcher-unnormalized",
+     {"f": dict(_GERM, series={"trunc": 20,
+                               "coeffs": [[0], [0], [2], [1]]})},
+     ["bottcher", "{f}"]),
+]
+
+
+@pytest.mark.parametrize("files,argv", [pytest.param(f, a, id=i)
+                                        for i, f, a in _BAD_INPUTS])
+def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, files,
+                                               argv):
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(body))
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

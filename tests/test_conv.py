@@ -16,6 +16,7 @@ from germ_testutil import schoolbook_conv
 FIELDS = [
     (2, 1), (3, 1), (5, 1),          # prime fields
     (2, 2), (3, 2), (2, 8), (3, 3),  # table fields
+    (2, 16),                         # the largest table field
     (65537, 1),                      # table-free, digits wider than a byte
     (3, 11),                         # table-free extension, q = 177147
     (2 ** 61 - 1, 1),                # slots wider than a machine word
@@ -87,3 +88,21 @@ def test_conv_slot_width_boundary():
         a = [1] * length
         n = 2 * length - 2
         assert f2.conv(a, a, n) == schoolbook_conv(f2, a, a, n)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_conv_both_sides_of_short_operand_cutoff(p, k):
+    # table fields that add in one step sum products with a shorter operand
+    # of fewer than k terms through exp/log; check lengths on both sides
+    field = field_create(p, k)
+    rng = random.Random(k * 7919 + p)
+    for short in sorted({1, max(k - 1, 1), k, k + 1}):
+        for long in (short, short + 3, 3 * k + 20):
+            for zero_rate in (0.0, 0.5):
+                a = _operand(field, rng, short, zero_rate)
+                b = _operand(field, rng, long, zero_rate)
+                deg = short + long - 2
+                for n in (0, short - 1, deg // 2, deg, deg + 3):
+                    want = schoolbook_conv(field, a, b, n)
+                    assert field.conv(a, b, n) == want, (a, b, n)
+                    assert field.conv(b, a, n) == want, (a, b, n)

@@ -5,8 +5,8 @@ import pytest
 
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
-from germ.fields import (_is_irreducible, default_modulus, field_create,
-                         poly_roots, unity_relation)
+from germ.fields import (Field, _is_irreducible, default_modulus,
+                         field_create, poly_roots, unity_relation)
 
 
 def test_field_create_examples():
@@ -194,6 +194,26 @@ def test_equal_elements_hash_equal_along_tower(p, ks):
     assert len({f.element(1) for f in fields}) == 1
     top = fields[-1]
     assert len({top.wrap(c) for c in top.elements()}) == top.q
+
+
+def test_hash_found_once_and_equal_along_tower(monkeypatch):
+    # the minimal polynomial behind the hash costs a Frobenius orbit, so
+    # each element computes it once however often it is hashed
+    f3, f9, f81 = (field_create(3, k) for k in (1, 2, 4))
+    calls = []
+    min_poly = Field.min_poly
+    monkeypatch.setattr(Field, "min_poly", lambda self, a: calls.append(a)
+                        or min_poly(self, a))
+    chains = [[f3.wrap(c), f3.wrap(c).embed(f9), f3.wrap(c).embed(f81)]
+              for c in f3.elements()]
+    chains += [[f9.wrap(c), f9.wrap(c).embed(f81)] for c in f9.elements()]
+    for chain in chains:
+        first = [hash(x) for x in chain]
+        for _ in range(3):
+            assert [hash(x) for x in chain] == first
+        assert len(set(first)) == 1
+        assert len(set(chain)) == 1
+    assert len(calls) == sum(map(len, chains))
 
 
 def _sympy_poly(coeffs, p):

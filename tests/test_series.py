@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from germ.analytic import LaurentDomain
 from germ.errors import (CompositionWithUnit, NonUnitReciprocal,
                          PadicObstruction, ZeroToPrecision)
 from germ.fields import field_create
 from germ.series import (Germ1D, Series, binomial_pow, nu_p, revert,
                          split_frobenius)
+from germ_testutil import schoolbook_conv
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -98,6 +100,71 @@ def test_compose_associative():
     rhs = f.compose(g.compose(h))
     assert lhs.truncate(min(lhs.trunc, rhs.trunc)).agree_order(
         rhs.truncate(min(lhs.trunc, rhs.trunc))) is None
+
+
+def _reference_compose(f, g, trunc):
+    """f(g) up to ``trunc`` as the plain sum of f_l g^l over every stored
+    f_l, each power of g formed by schoolbook; terms are added in the order
+    ``Series.compose`` adds them, so Laurent precision matches too."""
+    dom = f.dom
+    out = [f.coeffs[0]] + [dom.zero] * trunc
+    power = [dom.one] + [dom.zero] * trunc
+    for fl in f.coeffs[1:]:
+        power = schoolbook_conv(dom, power, g.coeffs, trunc)
+        for n, b in enumerate(power):
+            out[n] = dom.add(out[n], dom.mul(fl, b))
+    return out
+
+
+def _compose_cases(dom, rand, vague):
+    """(outer, inner, cap) triples whose outers end in exact zeros, in a
+    ``vague`` value (zero only to precision) or in nothing at all."""
+    z = dom.zero
+    outers = [
+        [rand() for _ in range(5)] + [z] * 12,          # trailing zeros
+        [z, rand(), z, z, rand(), vague, z, z, z],      # vague last term
+        [rand(), vague] + [z] * 10 + [vague],           # only vague after 1
+        [rand()] + [z] * 14,                            # all-zero tail
+        [z] * 15,
+        [rand() for _ in range(15)],
+    ]
+    inners = [
+        [z] + [rand() for _ in range(20)],
+        [z, z, rand(), z] + [rand() for _ in range(17)],
+        [z, rand(), z, z, z],
+    ]
+    for co in outers:
+        for trunc in (len(co) - 1, 6):
+            for gi in inners:
+                for cap in (None, 3, 40):
+                    yield Series(dom, co, trunc), Series(dom, gi), cap
+
+
+@pytest.mark.parametrize("which", ["F9", "laurent"])
+def test_compose_matches_power_sum(which):
+    rng = random.Random(41)
+    if which == "F9":
+        dom, vague = F9, F9.zero
+        rand = lambda: F9.rand(rng)
+    else:
+        dom = LaurentDomain(F3, 32)
+        vague = dom.make(3, [], 0)  # O(t^3)
+        rand = lambda: dom.make(rng.randrange(-2, 3),
+                                [F3.rand(rng) for _ in range(4)],
+                                rng.choice([None, 6]))
+    for f, g, cap in _compose_cases(dom, rand, vague):
+        got = f.compose(g, trunc=cap)
+        og = g.ord_floor()
+        t = min(g.trunc, (f.trunc + 1) * og - 1)
+        if cap is not None:
+            t = min(t, cap)
+        assert got.trunc == t
+        want = _reference_compose(f, g, t)
+        if which == "F9":
+            assert got.coeffs == want
+        else:
+            assert [(c.val, c.unit, c.prec) for c in got.coeffs] == \
+                [(c.val, c.unit, c.prec) for c in want]
 
 
 def test_split_frobenius_examples():

@@ -1,4 +1,5 @@
-"""Ring laws of truncated series multiplication, as hypothesis properties.
+"""Ring laws of truncated series multiplication and composition laws, as
+hypothesis properties.
 
 Products are compared where both sides are determined, i.e. up to the
 smaller of the two pessimistic truncations.
@@ -11,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from germ.fields import field_create  # noqa: E402
-from germ.series import Series  # noqa: E402
+from germ.series import Series, revert  # noqa: E402
 from germ_testutil import schoolbook_conv  # noqa: E402
 
 FIELDS = [field_create(3, 1), field_create(3, 2), field_create(2, 2)]
@@ -76,3 +77,38 @@ def test_mul_matches_schoolbook(fgh):
                                           prod.trunc)
     assert prod.trunc == min(f.trunc + g.ord_floor(),
                              g.trunc + f.ord_floor(), t)
+
+
+@st.composite
+def composable(draw):
+    """(f, g, h) over one field with g and h vanishing at 0."""
+    field = draw(st.sampled_from(FIELDS))
+    f = draw(series_over(field))
+    g, h = (draw(series_over(field)) for _ in range(2))
+    g.coeffs[0] = h.coeffs[0] = 0
+    return f, g, h
+
+
+@laws
+@given(composable())
+def test_compose_associative(fgh):
+    f, g, h = fgh
+    assert agree(f.compose(g).compose(h), f.compose(g.compose(h)))
+
+
+@st.composite
+def order_one(draw):
+    field = draw(st.sampled_from(FIELDS))
+    f = draw(series_over(field))
+    trunc = max(f.trunc, 1)
+    coeffs = [0, draw(st.integers(1, field.q - 1))] + f.coeffs[2:]
+    return Series(field, coeffs, trunc)
+
+
+@laws
+@given(order_one())
+def test_revert_is_a_left_inverse(f):
+    x = Series.identity(f.dom, f.trunc)
+    back = revert(f).compose(f)
+    assert back.trunc == f.trunc
+    assert back.coeffs == x.coeffs
