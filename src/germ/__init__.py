@@ -2,7 +2,8 @@
 
 Submodules:
 
-- fields      exact F_{p^k} arithmetic, Frobenius roots, polynomial roots
+- fields      exact F_{p^k} arithmetic, Frobenius roots, polynomial roots,
+              additive equations as linear systems over F_p
 - series      truncated univariate power series and the Frobenius twist
 - invariants  conjugacy invariants (m, d, e, r) and fiber combinatorics
 - normalizer  the coefficient recursion: normal forms and witnesses

@@ -151,18 +151,16 @@ def _prime_factors(n):
 
 
 def _is_irreducible(f, p):
-    """Rabin's test for monic f over Z_p."""
+    """Ben-Or's test for monic f over Z_p: a reducible f of degree n has a
+    factor of degree d <= n/2, which divides x**(p**d) - x."""
     n = len(f) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
     fp = field_create(p, 1)
     x = [0, 1]
-    if _poly_sub(fp, _poly_powmod(fp, x, p ** n, f), x):
-        return False
-    for t in _prime_factors(n):
-        h = _poly_powmod(fp, x, p ** (n // t), f)
+    h = x
+    for _ in range(n // 2):
+        h = _poly_powmod(fp, h, p, f)
         if len(_poly_gcd(fp, f, _poly_sub(fp, h, x))) != 1:
             return False
     return True
@@ -290,8 +288,9 @@ class Field:
             log[c] = i
         self._exp, self._log = exp, log
         p = self.p
-        self._neg_tab = [self._encode([(-c) % p for c in self._decode(a)])
-                         for a in range(q)]
+        if p != 2:  # negation is the identity in characteristic 2
+            self._neg_tab = [self._encode([(-c) % p for c in self._decode(a)])
+                             for a in range(q)]
         if q <= _ADD_TABLE_LIMIT:
             if p == 2:
                 self._add_tab = None  # xor path
@@ -659,27 +658,84 @@ def poly_roots(coeffs, allow_extension=False, seed=0):
             raise NoRootInField("no root in the current field")
         return sorted((FieldElement(field, r) for r in roots),
                       key=lambda e: e.coeffs), field
-    # minimal extension degree: first delta with gcd(x^(q^delta) - x, f) != 1
-    f = _poly_monic(field, f)
-    y = [0, 1]
-    delta = 0
-    found = None
-    while delta < len(f) - 1:
-        delta += 1
-        y = _poly_powmod(field, y, field.q, f)
-        if len(_poly_gcd(field, f, _poly_sub(field, y, [0, 1]))) > 1:
-            if delta == 1:
-                continue  # would have been found in-field
-            found = delta
-            break
-    if found is None:
-        raise NoRootInField("no factor degree located (inconsistent input)")
-    big = field_create(field.p, field.k * found)
+    big = root_extension(field, f)
     emb = field.embed_map(big)
     codes_up = [emb(c) for c in codes]
     roots_up = _field_roots(big, codes_up, random.Random(seed))
     return sorted((FieldElement(big, r) for r in roots_up),
                   key=lambda e: e.coeffs), big
+
+
+def root_extension(field, codes):
+    """The smallest field F_{q^delta} above ``field`` in which the polynomial
+    with the given code coefficients (low degree first) has a root: the first
+    delta with gcd(x^(q^delta) - x, f) != 1.  ``field`` itself when delta
+    is 1."""
+    f = _poly_monic(field, _strip(list(codes)))
+    x = [0, 1]
+    y = x
+    for delta in range(1, len(f)):
+        y = _poly_powmod(field, y, field.q, f)
+        if len(_poly_gcd(field, f, _poly_sub(field, y, x))) > 1:
+            if delta == 1:
+                return field
+            return field_create(field.p, field.k * delta)
+    raise NoRootInField("no factor degree located (inconsistent input)")
+
+
+# ---------------------------------------------------------------------------
+# additive equations: linear algebra over the prime field
+# ---------------------------------------------------------------------------
+
+def additive_roots(field, terms, q):
+    """All z in ``field`` with sum(c * z**(p**s)) = q, for the (s, c) code
+    pairs in ``terms``; codes sorted by coefficient vector, the order
+    :func:`poly_roots` returns.  Empty when the field holds no solution.
+
+    The left side is a linearized polynomial, so z -> sum(c * z**(p**s)) is
+    F_p-linear: the solutions are one particular solution plus the kernel of
+    a k x k matrix over F_p whose column i is the image of alpha**i.
+    """
+    p, k = field.p, field.k
+    cols = [0] * k
+    alpha = p if k > 1 else 1                   # the code of alpha
+    for s, c in terms:
+        step = field.frob(alpha, s)             # alpha**(p**s)
+        for i in range(k):                      # c * (alpha**i)**(p**s)
+            cols[i] = field.add(cols[i], c)
+            c = field.mul(c, step)
+    # rows of the augmented matrix [M | q], brought to reduced echelon form
+    digits = [field._decode(c) for c in cols]
+    rows = [[col[r] for col in digits] + [v]
+            for r, v in enumerate(field._decode(q))]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    if any(row[k] for row in rows[len(pivots):]):
+        return []
+    sols = [[0] * k]
+    for r, col in enumerate(pivots):
+        sols[0][col] = rows[r][k]
+    for free in sorted(set(range(k)) - set(pivots)):
+        v = [0] * k
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free] % p
+        sols = [[(a + t * b) % p for a, b in zip(x, v)]
+                for x in sols for t in range(p)]
+    sols.sort()
+    return [field._encode(x) for x in sols]
 
 
 def unity_relation(zeta, n):

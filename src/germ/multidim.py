@@ -381,26 +381,9 @@ class MultiGerm:
         """f o g for a vector of series g (ord >= 1 componentwise)."""
         dom = self.dom
         t = self.trunc if trunc is None else trunc
-        n = self.nvars
-        powers = [{} for _ in range(n)]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                if k == 0:
-                    cache[k] = MultiSeries.one(dom, n, t)
-                else:
-                    cache[k] = power(i, k - 1).mul(gs[i], trunc=t)
-            return cache[k]
-
         out = []
-        for j in range(n):
-            mono = MultiSeries.const(dom, n, t, self.cvec[j])
-            for i in range(n):
-                k = self.dmat[i][j]
-                if k:
-                    mono = mono.mul(power(i, k), trunc=t)
-            unit = MultiSeries.one(dom, n, t) + self.eps[j].compose(gs, trunc=t)
+        for mono, eps in zip(self.monomial_part(gs, trunc=t), self.eps):
+            unit = MultiSeries.one(dom, self.nvars, t) + eps.compose(gs, trunc=t)
             out.append(mono.mul(unit, trunc=t))
         return out
 

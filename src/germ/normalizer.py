@@ -10,8 +10,11 @@ and the target coefficients at the remaining fiber members.
 The unknown phi_j enters the degree-n equation only through an additive
 polynomial sum_k R_k z^(p^(m+k)) - L z, where the R_k come from the
 invariant positions r_k and L is the (exactly computable) linear
-coefficient on the left-hand side.  Everything else is evaluated
-numerically from incrementally maintained truncated series:
+coefficient on the left-hand side.  That map is F_p-linear, so over a
+finite field phi_j solves a k x k linear system over F_p; only when it has
+no solution is the minimal field extension located, and the solve restarts
+there.  Everything else is evaluated numerically from incrementally
+maintained truncated series:
 
 - the left side is linear in the phi's: L_partial = sum phi_h (1+eps) w^h
   with w = y^d (1+eps), extended one product a time;
@@ -40,7 +43,8 @@ from .errors import (
     UnsolvableRoot,
     ValidationError,
 )
-from .fields import Field, FieldElement, poly_roots
+from .fields import (Field, FieldElement, additive_roots, poly_roots,
+                     root_extension)
 from .invariants import (
     InvariantProfile,
     choice_bound,
@@ -119,7 +123,7 @@ class ConjReport:
 class _Engine:
     def __init__(self, dom, prof, eps_unit, j_hi, *, mode="normal",
                  nj_rule="ndoubleprime", nj_table=None, target_unit=None,
-                 allow_extension=True, seed=0, prefix=()):
+                 allow_extension=True, prefix=()):
         self.dom = dom
         self.p = dom.p
         self.prof = prof
@@ -133,7 +137,6 @@ class _Engine:
         self.nj_rule = nj_rule
         self.nj_table = nj_table
         self.allow_extension = allow_extension
-        self.seed = seed
         self.prefix = tuple(prefix)
         self.choice_points = []
         self.transcript = []
@@ -342,17 +345,17 @@ class _Engine:
             raise UnsolvableRoot(
                 f"additive equation with exponents {sorted(exps)} at degree "
                 f"{n} is not solvable over the Laurent coefficient ring")
-        deg = self.p ** max(exps)
-        coeffs = [dom.zero] * (deg + 1)
+        roots = additive_roots(dom, exps.items(), q)
+        if roots:
+            return roots
+        if not self.allow_extension:
+            raise NoRootInField("no root in the current field")
+        # normal_form restarts in the new field, so its roots are not needed
+        coeffs = [dom.zero] * (self.p ** max(exps) + 1)
         coeffs[0] = dom.neg(q)
         for s, c in exps.items():
-            coeffs[self.p ** s] = dom.add(coeffs[self.p ** s], c)
-        wrapped = [FieldElement(dom, c) for c in coeffs]
-        roots, new_field = poly_roots(
-            wrapped, allow_extension=self.allow_extension, seed=self.seed)
-        if new_field is not dom:
-            raise _NeedExtension(new_field)
-        return [rt.code for rt in roots]
+            coeffs[self.p ** s] = c
+        raise _NeedExtension(root_extension(dom, coeffs))
 
     # -- assignment ------------------------------------------------------------------
 
@@ -592,8 +595,9 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
 
     The witness phi has phi(0) = 1 and conjugates the unit-normalized germ
     onto the normal form, verified to order ``trunc`` by the independent
-    composition oracle.  Deterministic for a fixed seed (and in fact across
-    seeds: root choices use a fixed total order on field elements).
+    composition oracle.  Deterministic: root choices use a fixed total order
+    on field elements, so ``seed`` (kept for callers that record it) does
+    not change the result.
     """
     f0, lam, dom = normalize_unit(f)
     if f0.series.trunc < trunc:
@@ -618,7 +622,7 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
         _, unit = _split_unit(f0)
         eng = _Engine(f0.dom, prof, unit, j_hi, mode="normal", nj_rule=choice,
                       nj_table=nj_table, allow_extension=allow_extension,
-                      seed=seed, prefix=_prefix)
+                      prefix=_prefix)
         try:
             eng.solve()
             break

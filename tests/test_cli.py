@@ -128,6 +128,18 @@ def test_multinorm_command(tmp_path, capsys):
     assert out["verified_degree"] == 12
 
 
+def test_multinorm_huge_exponent_entry(tmp_path, capsys):
+    eps0 = MultiSeries(F3, 2, 12, {(1, 0): 1})
+    mg = MultiGerm(F3, (1, 1), ((10 ** 6, 1), (0, 2)),
+                   (eps0, MultiSeries.zero(F3, 2, 12)), 12)
+    path = tmp_path / "mg.json"
+    path.write_text(jsonio.dump(jsonio.multigerm_to_dict(mg)))
+    assert main(["multinorm", str(path), "--degree", "12"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["verified_degree"] == 12
+
+
 def test_growth_command(tmp_path, capsys):
     dom = LaurentDomain(F3, prec=40)
     co = [dom.zero] * 25

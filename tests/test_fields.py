@@ -5,8 +5,9 @@ import pytest
 
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
-from germ.fields import (Field, _is_irreducible, default_modulus,
-                         field_create, poly_roots, unity_relation)
+from germ.fields import (Field, _is_irreducible, additive_roots,
+                         default_modulus, field_create, poly_roots,
+                         root_extension, unity_relation)
 
 
 def test_field_create_examples():
@@ -253,3 +254,93 @@ def test_poly_roots_match_sympy(p):
         except NoRootInField:
             got = set()
         assert got == want, coeffs
+
+
+# default moduli of the fields the extension climbs reach, as they were
+# before Ben-Or's test replaced Rabin's: the search order must not change
+_PINNED_MODULI = {
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,),
+    (3, 18): (1, 2, 0, 1) + (0,) * 14 + (1,),
+    (3, 27): (2, 2, 1, 1, 0, 1) + (0,) * 21 + (1,),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(_PINNED_MODULI))
+def test_default_modulus_pinned(p, k):
+    assert default_modulus(p, k) == _PINNED_MODULI[p, k]
+
+
+def _additive_equation(field, rng, kind):
+    """(terms, q) for sum(c * z**(p**s)) = q; terms are (s, c) code pairs.
+
+    ``kind`` is "random", "inseparable" (no z**1 term) or "kernel" (q = 0
+    and a chosen nonzero root a, so the kernel is nontrivial); "no-solution"
+    is a kernel equation with a random q, which misses the image (a proper
+    subspace) about 1 - 1/p of the time."""
+    p = field.p
+    top = 3 if field.q <= 1 << 8 else 2     # degree p**top for poly_roots
+    exps = rng.sample(range(top + 1), rng.randrange(1, 4))
+    if kind == "inseparable":
+        exps = [s for s in exps if s] or [1]
+    terms = {s: 1 + rng.randrange(field.q - 1) for s in exps}
+    if kind == "random" or kind == "inseparable":
+        return list(terms.items()), field.rand(rng)
+    a = 1 + rng.randrange(field.q - 1)
+    terms.pop(0, None)
+    if not terms:
+        terms[1] = 1 + rng.randrange(field.q - 1)
+    image = 0
+    for s, c in terms.items():
+        image = field.add(image, field.mul(c, field.pow(a, p ** s)))
+    c0 = field.neg(field.div(image, a))     # makes a a root of the left side
+    if c0:
+        terms[0] = c0
+    q = 0 if kind == "kernel" else field.rand(rng)
+    return list(terms.items()), q
+
+
+def _poly_codes(field, terms, q):
+    codes = [0] * (field.p ** max(s for s, _ in terms) + 1)
+    codes[0] = field.neg(q)
+    for s, c in terms:
+        codes[field.p ** s] = field.add(codes[field.p ** s], c)
+    return codes
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 8),
+                                 (3, 6), (3, 11)])
+def test_additive_roots_match_poly_roots(p, k):
+    # Cantor-Zassenhaus on the degree-p**s polynomial is the independent
+    # reference: the same roots, in the same order
+    field = field_create(p, k)
+    rng = random.Random(100 * p + k)
+    seen = dict.fromkeys(("random", "inseparable", "kernel", "no-solution"), 0)
+    rounds = 4 if field.q > 1 << 16 else 12
+    for kind in list(seen) * rounds:
+        terms, q = _additive_equation(field, rng, kind)
+        got = additive_roots(field, terms, q)
+        codes = _poly_codes(field, terms, q)
+        wrapped = [field.wrap(c) for c in codes]
+        try:
+            want = [r.code for r in poly_roots(wrapped, seed=2)[0]]
+        except NoRootInField:
+            want = []
+        assert got == want, (kind, terms, q)
+        for z in got:
+            lhs = 0
+            for s, c in terms:
+                lhs = field.add(lhs, field.mul(c, field.frob(z, s)))
+            assert lhs == q
+        if kind == "kernel":
+            assert len(got) >= p and got[0] == 0
+        if got:
+            assert root_extension(field, codes) is field
+        elif kind == "no-solution":
+            big = root_extension(field, codes)
+            assert big.k % k == 0 and big.k > k
+            if big.q <= 1 << 16:   # root finding up there stays quick
+                assert poly_roots(wrapped, allow_extension=True)[1] is big
+        if kind != "no-solution" or not got:
+            seen[kind] += 1
+    assert all(seen.values()), seen

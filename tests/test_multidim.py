@@ -67,6 +67,20 @@ def test_monomial_conjugacy_example():
     assert verified == 12
 
 
+def test_huge_exponent_entry_needs_no_deep_recursion():
+    # x_0^(10^6) lies far past the truncation; forming it one product per
+    # step used to recurse 10^6 deep and die with RecursionError
+    eps0 = MultiSeries(F3, 2, 12, {(1, 0): 1})
+    f = MultiGerm(F3, (1, 1), ((10 ** 6, 1), (0, 2)),
+                  (eps0, MultiSeries.zero(F3, 2, 12)), 12)
+    image = f.apply(f.identity_vector())
+    assert image[0].is_zero()
+    assert image[1].terms == {(1, 2): 1}
+    phi, verified = monomial_conjugacy(f, trunc=12)
+    assert verified == 12
+    assert phi[0].coeff((1, 0)) == 1 and phi[1].coeff((0, 1)) == 1
+
+
 def test_monomial_conjugacy_identity_and_rejection():
     z = MultiSeries.zero(F3, 2, 10)
     f0 = MultiGerm(F3, (1, 2), ((2, 0), (0, 2)), (z, z), 10)
