@@ -123,9 +123,6 @@ class LaurentDomain:
         digits vanish."""
         return not x.unit
 
-    def eq(self, x, y):
-        return self.is_zero(self.sub(x, y))
-
     # -- ring ops ---------------------------------------------------------------
 
     def add(self, x, y):

@@ -478,6 +478,8 @@ class Field:
     def is_zero(self, a):
         return a == 0
 
+    is_zero_to_prec = is_zero  # every field element is exact
+
     def to_vec(self, a):
         return tuple(self._decode(a))
 

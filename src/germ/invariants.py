@@ -110,10 +110,6 @@ def jays(prof: InvariantProfile, n: int):
     return tuple(vals), int(top)
 
 
-def jay(prof, n):
-    return jays(prof, n)[1]
-
-
 def n_prime(prof: InvariantProfile, j: int) -> int:
     """N'(j) = min_k (r_k + p^k j); satisfies J(N'(j)) = j."""
     p = prof.p
@@ -123,12 +119,6 @@ def n_prime(prof: InvariantProfile, j: int) -> int:
 def preceq_key(p, e, n):
     """Sort key of the total order: lexicographic on (nu_p(n) ^ e, n)."""
     return (min(nu_p(p, n), e), n)
-
-
-def preceq_cmp(p, e, n1, n2):
-    """-1 / 0 / 1 comparison in the (nu_p ^ e, n) lexicographic order."""
-    k1, k2 = preceq_key(p, e, n1), preceq_key(p, e, n2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def fiber(prof: InvariantProfile, j: int):

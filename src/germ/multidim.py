@@ -14,14 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DetDivisibleByP,
-    PadicObstruction,
-    SingularMatrix,
-    ValidationError,
-)
+from .errors import DetDivisibleByP, SingularMatrix, ValidationError
 from .fields import FieldElement, poly_roots
-from .series import binomial_coeffs, nu_p
+from .series import binomial_pow
 
 
 # ---------------------------------------------------------------------------
@@ -38,91 +33,43 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
-def mat_inv(a):
-    """Gauss-Jordan over exact rationals; raises SingularMatrix."""
+def gauss_jordan(a):
+    """(rank, det, inverse or None) of a square matrix: one exact Fraction
+    elimination of [A | I]."""
     n = len(a)
-    x = [[Fraction(v) for v in row] for row in a]
-    y = mat_identity(n)
-    for i in range(n):
-        piv = next((j for j in range(i, n) if x[j][i] != 0), None)
+    x = [[Fraction(v) for v in row] + e for row, e in zip(a, mat_identity(n))]
+    det = Fraction(1)
+    rank = 0
+    for col in range(n):
+        piv = next((j for j in range(rank, n) if x[j][col] != 0), None)
         if piv is None:
-            raise SingularMatrix("matrix is not invertible")
-        if piv != i:
-            x[i], x[piv] = x[piv], x[i]
-            y[i], y[piv] = y[piv], y[i]
-        inv = 1 / x[i][i]
-        x[i] = [v * inv for v in x[i]]
-        y[i] = [v * inv for v in y[i]]
-        for j in range(n):
-            if j != i and x[j][i] != 0:
-                c = x[j][i]
-                x[j] = [u - c * v for u, v in zip(x[j], x[i])]
-                y[j] = [u - c * v for u, v in zip(y[j], y[i])]
-    return y
-
-
-def mat_rank(a):
-    n, m = len(a), len(a[0])
-    x = [[Fraction(v) for v in row] for row in a]
-    rank, row = 0, 0
-    for col in range(m):
-        piv = next((j for j in range(row, n) if x[j][col] != 0), None)
-        if piv is None:
+            det = Fraction(0)
             continue
-        x[row], x[piv] = x[piv], x[row]
-        inv = 1 / x[row][col]
-        x[row] = [v * inv for v in x[row]]
+        if piv != rank:
+            x[rank], x[piv] = x[piv], x[rank]
+            det = -det
+        det *= x[rank][col]
+        inv = 1 / x[rank][col]
+        x[rank] = [v * inv for v in x[rank]]
         for j in range(n):
-            if j != row and x[j][col] != 0:
+            if j != rank and x[j][col] != 0:
                 c = x[j][col]
-                x[j] = [u - c * v for u, v in zip(x[j], x[row])]
+                x[j] = [u - c * v for u, v in zip(x[j], x[rank])]
         rank += 1
-        row += 1
-    return rank
+    return rank, det, ([row[n:] for row in x] if rank == n else None)
+
+
+def mat_inv(a):
+    """Inverse over exact rationals; raises SingularMatrix."""
+    inv = gauss_jordan(a)[2]
+    if inv is None:
+        raise SingularMatrix("matrix is not invertible")
+    return inv
 
 
 def int_det(a):
-    """Integer determinant by fraction-free expansion (n <= 4 in practice)."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for j in range(n):
-        if a[0][j]:
-            minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            total += (-1) ** j * a[0][j] * int_det(minor)
-    return total
-
-
-def int_adjugate(a):
-    """adj(a) with adj(a) @ a = det(a) * I, exact integers."""
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            out[i][j] = (-1) ** (i + j) * int_det(minor)
-    return out
-
-
-def matrix_power_padic(d_mat, k, p):
-    """(D^-k as exact rationals, p-integrality flag).
-
-    The flag is true iff every entry a/b has nu_p(a) >= nu_p(b); this is
-    implied by gcd(det D, p) = 1 but verified entrywise."""
-    det = int_det(d_mat)
-    if det == 0:
-        raise SingularMatrix("exponent matrix is singular")
-    inv = mat_inv([[Fraction(v) for v in row] for row in d_mat])
-    out = mat_identity(len(d_mat))
-    for _ in range(k):
-        out = mat_mul(out, inv)
-    flag = all(nu_p(p, q.numerator) >= nu_p(p, q.denominator)
-               for row in out for q in row)
-    return out, flag
+    """Determinant of an integer matrix, as an int."""
+    return int(gauss_jordan(a)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +122,7 @@ class MultiSeries:
     def is_zero(self):
         return not self.terms
 
-    def ord(self):
+    def ord_floor(self):
         """Minimal total degree of a stored term; trunc+1 when zero."""
         if not self.terms:
             return self.trunc + 1
@@ -217,7 +164,7 @@ class MultiSeries:
 
     def mul(self, other, trunc=None):
         dom = self.dom
-        t = min(self.trunc + other.ord(), other.trunc + self.ord())
+        t = min(self.trunc + other.ord_floor(), other.trunc + self.ord_floor())
         if trunc is not None:
             t = min(t, trunc)
         out = MultiSeries(dom, self.nvars, t)
@@ -263,16 +210,9 @@ class MultiSeries:
         dom = self.dom
         t = self.trunc if trunc is None else trunc
         for g in gs:
-            if g.ord() < 1:
+            if g.ord_floor() < 1:
                 raise ValidationError("substituted series must vanish at 0")
-        powers = [{0: MultiSeries.one(dom, gs[0].nvars, t)} for _ in gs]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1).mul(gs[i], trunc=t)
-            return cache[k]
-
+        powers = [[MultiSeries.one(dom, gs[0].nvars, t)] for _ in gs]
         out = MultiSeries(dom, gs[0].nvars, t)
         for e, c in sorted(self.terms.items(), key=lambda kv: sum(kv[0])):
             if sum(e) > t:
@@ -280,7 +220,10 @@ class MultiSeries:
             piece = MultiSeries.const(dom, gs[0].nvars, t, c)
             for i, k in enumerate(e):
                 if k:
-                    piece = piece.mul(power(i, k), trunc=t)
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1].mul(gs[i], trunc=t))
+                    piece = piece.mul(pw[k], trunc=t)
                     if piece.is_zero():
                         break
             out = out + piece
@@ -297,38 +240,12 @@ class MultiSeries:
         return f"<MultiSeries {body or '0'} (deg<={self.trunc})>"
 
 
-def pow_frac(u, a, b):
-    """u**(a/b) for a unit multivariate series with u(0) = 1."""
-    dom = u.dom
-    one = MultiSeries.one(dom, u.nvars, u.trunc)
-    w = u - one
-    if w.is_zero():
-        return one
-    if a == 0:
-        return one
-    coeffs = binomial_coeffs(dom, a, b, u.trunc + 1)
-    out = one
-    acc = None
-    ow = w.ord()
-    for n in range(1, u.trunc + 1):
-        if n * ow > u.trunc:
-            break
-        acc = w if acc is None else acc.mul(w, trunc=u.trunc)
-        if not dom.is_zero(coeffs[n]):
-            out = out + acc.scale(coeffs[n])
-    return out
-
-
 def multi_unit_power(units, mat):
     """Componentwise (1+eps)^M: out_j = prod_i units_i^(M[i][j]).
 
-    Every entry of the rational matrix must be p-integral."""
+    Every nonzero entry of the rational matrix goes through binomial_coeffs,
+    which raises PadicObstruction unless it is p-integral."""
     dom = units[0].dom
-    p = dom.p
-    for row in mat:
-        for q in row:
-            if nu_p(p, q.numerator) < nu_p(p, q.denominator):
-                raise PadicObstruction(f"entry {q} is not p-integral")
     cols = len(mat[0])
     out = []
     for j in range(cols):
@@ -336,7 +253,7 @@ def multi_unit_power(units, mat):
         for i, u in enumerate(units):
             q = mat[i][j]
             if q != 0:
-                acc = acc.mul(pow_frac(u, q.numerator, q.denominator),
+                acc = acc.mul(binomial_pow(u, q.numerator, q.denominator),
                               trunc=acc.trunc)
         out.append(acc)
     return out
@@ -366,7 +283,7 @@ class MultiGerm:
         if total < n + 1:
             raise ValidationError("germ is not superattracting")
         for s in self.eps:
-            if s.ord() < 1:
+            if s.ord_floor() < 1:
                 raise ValidationError("eps must vanish at 0")
 
     @property
@@ -411,7 +328,8 @@ def monomial_conjugacy(f: MultiGerm, trunc=12):
     dom = f.dom
     p = dom.p
     n = f.nvars
-    det = int_det([list(r) for r in f.dmat])
+    _, det, dinv = gauss_jordan(f.dmat)
+    det = int(det)
     if det == 0:
         raise SingularMatrix("exponent matrix is singular")
     if math.gcd(det, p) != 1:
@@ -420,13 +338,12 @@ def monomial_conjugacy(f: MultiGerm, trunc=12):
     one_vec = [MultiSeries.one(dom, n, t) for _ in range(n)]
     phi = one_vec
     cur = [MultiSeries.variable(dom, n, t, i) for i in range(n)]  # f^(0)
-    dinv = mat_inv([list(r) for r in f.dmat])
     dinvk = mat_identity(n)
     prev_ord = 0
     k = 1
     while True:
         epsk = [s.compose(cur, trunc=t) for s in f.eps]
-        o = min(s.ord() for s in epsk)
+        o = min(s.ord_floor() for s in epsk)
         if o > t:
             break
         if o <= prev_ord:
@@ -435,11 +352,6 @@ def monomial_conjugacy(f: MultiGerm, trunc=12):
                 "the product does not stabilize")
         prev_ord = o
         dinvk = mat_mul(dinvk, dinv)
-        for row in dinvk:
-            for q in row:
-                if nu_p(p, q.numerator) < nu_p(p, q.denominator):
-                    raise PadicObstruction(
-                        f"entry {q} of D^-{k} is not p-integral")
         units = [MultiSeries.one(dom, n, t) + s for s in epsk]
         factors = multi_unit_power(units, dinvk)
         phi = [a.mul(b, trunc=t) for a, b in zip(phi, factors)]
@@ -475,12 +387,11 @@ def diagonal_scaling(cvec, dmat, field):
     n = len(cvec)
     m_int = [[dmat[i][j] - (1 if i == j else 0) for j in range(n)]
              for i in range(n)]
-    det = int_det(m_int)
+    rank, det, inv = gauss_jordan(m_int)
     if det == 0:
-        return DiagonalScaling(None, field,
-                               mat_rank([[Fraction(v) for v in row]
-                                         for row in m_int]), False)
-    adj = int_adjugate(m_int)
+        return DiagonalScaling(None, field, rank, False)
+    adj = [[int(det * v) for v in row] for row in inv]  # det * inverse
+    det = int(det)
     q_abs, sign = abs(det), (1 if det > 0 else -1)
     # any extension restarts the whole solve in the bigger field, so every
     # derived value reaches it through the single cached one-hop embedding

@@ -104,10 +104,6 @@ class ConjugacyWitness:
     verified_order: int
     transcript: list = dc_field(default_factory=list)
 
-    def phi_series(self):
-        """Phi = x*phi(x) as a plain series."""
-        return self.phi.shift(1)
-
 
 @dataclass
 class ConjReport:
@@ -120,10 +116,25 @@ class ConjReport:
 # the solver engine
 # ---------------------------------------------------------------------------
 
+def _rule_n(prof, rule, table, j):
+    """N(j) under the named representative rule; a "custom" table entry
+    overrides N''(j)."""
+    if rule == "nprime":
+        return n_prime(prof, j)
+    if rule == "custom" and table and j in table:
+        return table[j]
+    if rule not in ("ndoubleprime", "custom"):
+        raise ValidationError(f"unknown N(j) rule {rule!r}")
+    return n_doubleprime(prof, j)
+
+
 class _Engine:
-    def __init__(self, dom, prof, eps_unit, j_hi, *, mode="normal",
-                 nj_rule="ndoubleprime", nj_table=None, target_unit=None,
-                 allow_extension=True, prefix=()):
+    """The fiber recursion.  Given ``target_unit`` it solves onto that
+    prescribed target; otherwise it chooses the normal form's coefficients."""
+
+    def __init__(self, dom, prof, eps_unit, j_hi, *, nj_rule="ndoubleprime",
+                 nj_table=None, target_unit=None, allow_extension=True,
+                 prefix=()):
         self.dom = dom
         self.p = dom.p
         self.prof = prof
@@ -133,7 +144,7 @@ class _Engine:
         n_hi = self.n_hi
         self.eps = list(eps_unit[: n_hi + 1])
         self.eps += [dom.zero] * (n_hi + 1 - len(self.eps))
-        self.mode = mode
+        self.prescribed = target_unit is not None
         self.nj_rule = nj_rule
         self.nj_table = nj_table
         self.allow_extension = allow_extension
@@ -158,9 +169,7 @@ class _Engine:
             mult = ((self.d + i0) // self.p ** kappa) % self.p
             self.slot_bases.append((i0, kappa, mult))
 
-        if mode == "prescribed":
-            if target_unit is None:
-                raise ValueError("prescribed mode needs the target unit part")
+        if self.prescribed:
             for i, v in enumerate(target_unit[: n_hi + 1]):
                 if not dom.is_zero(v):
                     self._register_eps(i, v, record=False)
@@ -404,32 +413,14 @@ class _Engine:
     # -- driving ----------------------------------------------------------------------
 
     def _representative(self, j, members):
-        if self.nj_rule == "nprime":
-            n = n_prime(self.prof, j)
-        elif self.nj_rule == "ndoubleprime":
-            n = n_doubleprime(self.prof, j)
-        elif self.nj_rule == "custom":
-            n = self.nj_table.get(j)
-            if n is None:
-                n = n_doubleprime(self.prof, j)
-        else:
-            raise ValidationError(f"unknown N(j) rule {self.nj_rule!r}")
+        n = _rule_n(self.prof, self.nj_rule, self.nj_table, j)
         if n not in members:
             raise ValidationError(
                 f"N({j}) = {n} is not in the fiber {members}")
         return n
 
-    def _residual_is_zero(self, x):
-        """Best-effort zero test; imprecise Laurent residuals count as zero."""
-        dom = self.dom
-        probe = getattr(dom, "is_zero_to_prec", None)
-        if probe is not None:
-            return probe(x)
-        return dom.is_zero(x)
-
     def solve(self):
-        dom = self.dom
-        if self.mode == "normal":
+        if not self.prescribed:
             for n in fiber(self.prof, 0):
                 if n <= self.n_hi:
                     self._register_eps(n, self.eps[n])
@@ -437,10 +428,10 @@ class _Engine:
             members = fiber(self.prof, j)
             if members and members[-1] > self.n_hi:
                 raise AssertionError("fiber member beyond working order")
-            if self.mode == "normal":
-                self._solve_fiber_normal(j, members)
-            else:
+            if self.prescribed:
                 self._solve_fiber_prescribed(j, members)
+            else:
+                self._solve_fiber_normal(j, members)
         return self
 
     def _solve_fiber_normal(self, j, members):
@@ -465,7 +456,7 @@ class _Engine:
             self._register_eps(n, val)
         # full re-evaluation of the representative equation, now that the
         # unknown is fixed: catches any slip in the slot bookkeeping
-        if not self._residual_is_zero(
+        if not dom.is_zero_to_prec(
                 dom.sub(self._lhs_full(nstar), self._rhs_known(nstar))):
             raise UnassignedDependency(
                 f"equation at degree {nstar} fails after solving fiber {j}")
@@ -514,7 +505,7 @@ class _Engine:
         rhs = rhs0
         for s, coeff in slots:
             rhs = dom.add(rhs, dom.mul(coeff, dom.frob(z, s)))
-        return self._residual_is_zero(dom.sub(lhs, rhs))
+        return dom.is_zero_to_prec(dom.sub(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +520,7 @@ def solve_prescribed(dom, prof: InvariantProfile, unit, j_hi, target_unit):
     ``dom``; the fiber recursion fixes each phi_j from the equations its
     fiber shares with the target.  Returns (phis, transcript).  Nothing is
     checked by composition: callers verify the witness themselves."""
-    eng = _Engine(dom, prof, unit, j_hi, mode="prescribed",
-                  target_unit=target_unit)
+    eng = _Engine(dom, prof, unit, j_hi, target_unit=target_unit)
     eng.solve()
     return eng.phis, eng.transcript
 
@@ -574,15 +564,6 @@ def normalize_unit(f: Germ1D):
     return g, lam, dom
 
 
-def _split_unit(f: Germ1D):
-    """(profile, unit coefficient list of 1+eps, m, d) for a normalized germ."""
-    prof = profile(f)
-    g, m = f.split()
-    d = g.ord()
-    unit = g.coeffs[d:]
-    return prof, unit
-
-
 def min_trunc(prof: InvariantProfile) -> int:
     """Smallest working order the solver accepts for this profile."""
     p = prof.p
@@ -618,9 +599,9 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
     f0_base, lam_base, base_field = f0, lam, f0.dom
     extensions = []
     while True:
-        prof = profile(f0)
-        _, unit = _split_unit(f0)
-        eng = _Engine(f0.dom, prof, unit, j_hi, mode="normal", nj_rule=choice,
+        # an embedding keeps the zero pattern, so prof holds in every field
+        g, _ = f0.split()
+        eng = _Engine(f0.dom, prof, g.coeffs[g.ord():], j_hi, nj_rule=choice,
                       nj_table=nj_table, allow_extension=allow_extension,
                       prefix=_prefix)
         try:
@@ -727,12 +708,7 @@ def check_nf_conditions(nf: NormalForm):
         bound = choice_bound(prof)
         j = 1
         while j < bound:
-            if nf.choice == "nprime":
-                n = n_prime(prof, j)
-            elif nf.choice == "custom" and nf.nj_table and j in nf.nj_table:
-                n = nf.nj_table[j]
-            else:
-                n = n_doubleprime(prof, j)
+            n = _rule_n(prof, nf.choice, nf.nj_table, j)
             if not dom.is_zero(get(n)):
                 ok = False
             j += 1

@@ -3,10 +3,13 @@
 A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
 ``one`` and methods ``add, sub, neg, mul, inv, pow, frob, frob_root,
-from_int, is_zero`` and ``conv(a, b, n)``, the first n+1 coefficients of
-the product of two coefficient lists.  Every series product goes through
-``conv``.  Finite fields store coefficients as int codes; the
-analytic module supplies a t-adic domain with object coefficients.
+from_int, is_zero, is_zero_to_prec`` and ``conv(a, b, n)``, the first n+1
+coefficients of the product of two coefficient lists.  Every series product
+goes through ``conv``.  ``is_zero_to_prec`` is the test comparisons use: true
+for a value that cannot be told from zero at its precision (over a finite
+field, the same as ``is_zero``).  Finite fields store coefficients as int
+codes; the analytic module supplies a t-adic domain with object
+coefficients.
 
 Truncation is pessimistic: ``trunc`` is the last exponent whose coefficient
 is fully determined by trusted inputs, and every operation recomputes it
@@ -292,7 +295,7 @@ class Series:
         the common truncation.  Differences that vanish to the coefficient
         precision cannot witness a disagreement."""
         dom = self.dom
-        vanishes = getattr(dom, "is_zero_to_prec", dom.is_zero)
+        vanishes = dom.is_zero_to_prec
         t = min(self.trunc, other.trunc)
         for n in range(t + 1):
             a, b = self.coeff(n), other.coeff(n)
@@ -390,17 +393,17 @@ def binomial_coeffs(dom, a, b, count):
 def binomial_pow(u, a, b):
     """u**(a/b) for a unit series with u(0) = 1; well defined when
     nu_p(a) >= nu_p(b).  Raising the result to the b-th power recovers u**a
-    to truncation."""
+    to truncation.  ``u`` may be a Series or a multidim.MultiSeries: the
+    loop reads only ``dom``, ``trunc``, ``pow_int``, ``ord_floor``, ``mul``,
+    ``scale`` and the ring operators, which both classes share."""
     dom = u.dom
-    if not dom.is_zero(dom.sub(u.coeffs[0], dom.one)):
-        raise ValueError("binomial_pow needs u(0) = 1")
     t = u.trunc
-    w = u - Series.one(dom, t)
-    coeffs = binomial_coeffs(dom, a, b, t + 1)
-    out = Series.one(dom, t)
+    out = u.pow_int(0)
+    w = u - out
     ow = w.ord_floor()
-    if ow > t:
-        return out
+    if ow < 1:
+        raise ValueError("binomial_pow needs u(0) = 1")
+    coeffs = binomial_coeffs(dom, a, b, t + 1)
     acc = None
     for n in range(1, t + 1):
         if n * ow > t:
@@ -447,10 +450,6 @@ class Germ1D:
         self.dom = dom
         self.series = series
         self.normalization = normalization
-
-    @classmethod
-    def from_coeffs(cls, dom, coeffs, trunc=None):
-        return cls(dom, Series(dom, coeffs, trunc))
 
     def split(self):
         """(g, m) with f = g(x**(p**m)) and g' not identically zero."""

@@ -140,6 +140,19 @@ def test_multinorm_huge_exponent_entry(tmp_path, capsys):
     assert json.loads(captured.out)["verified_degree"] == 12
 
 
+def test_multinorm_deep_eps_term(tmp_path, capsys):
+    # eps = x^1100 at trunc 1200: forming x^1100 one product per step used
+    # to recurse 1100 deep and die with RecursionError
+    path = tmp_path / "mg.json"
+    path.write_text(json.dumps({"N": 1, "field": {"p": 3, "k": 1},
+                                "C": [[1]], "D": [[2]], "trunc": 1200,
+                                "eps": [{"1100": [1]}]}))
+    assert main(["multinorm", str(path), "--degree", "1200"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["verified_degree"] == 1200
+
+
 def test_growth_command(tmp_path, capsys):
     dom = LaurentDomain(F3, prec=40)
     co = [dom.zero] * 25

@@ -8,7 +8,7 @@ from germ.fields import field_create
 from germ.invariants import (InvariantProfile, JTable, choice_bound,
                              compose_bound, compose_germs, fiber,
                              germ_at_infinity, iterate_germ, iterate_profile,
-                             jays, n_doubleprime, n_prime, preceq_cmp,
+                             jays, n_doubleprime, n_prime, preceq_key,
                              profile, stable_threshold)
 from germ.series import Germ1D, Series
 from germ_testutil import make_germ
@@ -66,10 +66,12 @@ def test_n_prime():
 
 
 def test_preceq_examples():
-    assert preceq_cmp(3, 2, 8, 3) == -1
-    assert preceq_cmp(3, 2, 24, 0) == -1
-    assert preceq_cmp(3, 2, 2, 4) == -1
-    assert preceq_cmp(3, 2, 5, 5) == 0
+    def key(n):
+        return preceq_key(3, 2, n)
+    assert key(8) < key(3)
+    assert key(24) < key(0)
+    assert key(2) < key(4)
+    assert key(5) == key(5)
 
 
 def test_n_doubleprime():

@@ -7,9 +7,8 @@ from germ.errors import (DetDivisibleByP, PadicObstruction, SingularMatrix,
                          ValidationError)
 from germ.fields import field_create
 from germ.multidim import (MultiGerm, MultiSeries, diagonal_scaling,
-                           mat_identity, mat_inv, mat_mul,
-                           matrix_power_padic, monomial_conjugacy,
-                           multi_unit_power, pow_frac)
+                           gauss_jordan, int_det, mat_identity, mat_inv,
+                           mat_mul, monomial_conjugacy, multi_unit_power)
 from germ.normalizer import bottcher_product
 from germ.series import Germ1D, Series, binomial_pow
 
@@ -19,14 +18,42 @@ F2 = field_create(2, 1)
 
 
 def test_matrix_power_examples():
-    m, flag = matrix_power_padic([[2, 0], [0, 2]], 1, 3)
-    assert m == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]] and flag
-    _, flag = matrix_power_padic([[2, 1], [0, 2]], 1, 3)
-    assert flag
-    _, flag = matrix_power_padic([[2, 0], [0, 2]], 1, 2)
-    assert not flag
+    # D^-1 through mat_inv; p-integrality is decided where the binomial
+    # power reads the entry
+    u1 = MultiSeries(F3, 2, 8, {(0, 0): 1, (1, 0): 1})
+    u2 = MultiSeries(F3, 2, 8, {(0, 0): 1, (0, 1): 2})
+    m = mat_inv([[2, 0], [0, 2]])
+    assert m == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    multi_unit_power([u1, u2], m)
+    multi_unit_power([u1, u2], mat_inv([[2, 1], [0, 2]]))
+    v1 = MultiSeries(F2, 2, 8, {(0, 0): 1, (1, 0): 1})
+    v2 = MultiSeries(F2, 2, 8, {(0, 0): 1, (0, 1): 1})
+    with pytest.raises(PadicObstruction):
+        multi_unit_power([v1, v2], mat_inv([[2, 0], [0, 2]]))
     with pytest.raises(SingularMatrix):
-        matrix_power_padic([[1, 1], [1, 1]], 1, 3)
+        mat_inv([[1, 1], [1, 1]])
+
+
+def _cofactor_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * _cofactor_det([r[:j] + r[j + 1:]
+                                                     for r in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+def test_gauss_jordan_matches_cofactor_expansion():
+    rng = random.Random(1)
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        a = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
+        rank, det, inv = gauss_jordan(a)
+        assert det == int_det(a) == _cofactor_det(a)
+        assert (inv is None) == (det == 0) == (rank < n)
+        if inv is not None:
+            assert mat_mul(a, inv) == mat_identity(n)
+    assert gauss_jordan([[1, 2], [2, 4]])[0] == 1
+    assert gauss_jordan([[0, 0], [0, 0]])[0] == 0
 
 
 def test_mat_inv_exact():
@@ -54,7 +81,8 @@ def test_multi_unit_power_examples():
 
 
 def test_pow_frac_matches_univariate():
-    v = pow_frac(MultiSeries(F3, 1, 10, {(0,): 1, (1,): 1}), 1, 2)
+    # one binomial loop serves both series classes
+    v = binomial_pow(MultiSeries(F3, 1, 10, {(0,): 1, (1,): 1}), 1, 2)
     vu = binomial_pow(Series.from_ints(F3, [1, 1], 10), 1, 2)
     assert all(v.coeff((n,)) == vu.coeff(n) for n in range(11))
 
