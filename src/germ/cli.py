@@ -1,8 +1,9 @@
 """Batch front-end: `germ <command>` reading/writing the JSON germ formats.
 
 Exit codes: 0 success, 1 bad input (parse/validation), 2 a mathematical
-check reported failure (e.g. a conjugacy check disagreed).  All commands are
-deterministic for a fixed seed.
+check reported failure (a conjugacy check disagreed, or a computed witness
+failed its own check; see ``EXIT_CODES``).  All commands are deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .analytic import (
     truncation_target,
     tval,
 )
-from .errors import GermError, ParseError, ValidationError
+from .errors import CheckFailed, GermError, ParseError, ValidationError
 from .fields import is_prime
 from .invariants import (
     InvariantProfile,
@@ -337,13 +338,18 @@ _HANDLERS = {
 }
 
 
+# exit code of each error class, found along the raised class's MRO
+EXIT_CODES = {CheckFailed: 2, GermError: 1}
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except GermError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(EXIT_CODES[c] for c in type(exc).__mro__
+                    if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

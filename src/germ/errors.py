@@ -106,3 +106,24 @@ class ParseError(GermError):
 
 class ValidationError(GermError):
     """Parsed input failed validation against the command."""
+
+
+# -- failed checks ---------------------------------------------------------
+# Each also derives from the class that callers of its check catch
+# (UnassignedDependency, ValidationError, AssertionError); the CLI maps
+# CheckFailed to exit code 2.
+
+class CheckFailed(GermError):
+    """A mathematical check of a computed result failed."""
+
+
+class OracleFailure(CheckFailed, UnassignedDependency):
+    """A solver's witness fails the composition oracle."""
+
+
+class WitnessFailure(CheckFailed, ValidationError):
+    """A monomial-conjugacy product witness fails its check."""
+
+
+class ScalingFailure(CheckFailed, AssertionError):
+    """A diagonal scaling fails its exact verification."""

@@ -13,6 +13,7 @@ embeddings along the tower are computed once and cached.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from array import array
@@ -267,40 +268,41 @@ class Field:
         return r
 
     def _build_tables(self):
-        q = self.q
+        p, k, q = self.p, self.k, self.q
         self._exp = self._log = self._neg_tab = None
         self._add_tab = None
         if q > _TABLE_LIMIT:
             return
+        if p != 2 and q <= _ADD_TABLE_LIMIT:  # p = 2 adds by xor
+            # by digits: T_j[a][b] = T_1[a % p][b % p] + p*T_(j-1)[a//p][b//p]
+            tab = one = [[(a + b) % p for b in range(p)] for a in range(p)]
+            for _ in range(k - 1):
+                tab = [[p * y + x for y in tab[hi] for x in one[lo]]
+                       for hi in range(len(tab)) for lo in range(p)]
+            self._add_tab = tab
         factors = _prime_factors(q - 1) if q > 2 else []
-        g = None
-        for cand in range(2, q):
+        g = 1  # q == 2
+        # a constant of F_p has order dividing p - 1 < q - 1 when k > 1
+        for cand in range(p if k > 1 else 2, q):
             if all(self._raw_pow(cand, (q - 1) // t) != 1 for t in factors):
                 g = cand
                 break
-        if g is None:
-            g = 1  # q == 2
+        # x -> g*x is F_p-linear: split x = lo + P*hi and add the images
+        P = p ** ((k + 1) // 2)
+        lo_tab = [self._raw_mul(g, a) for a in range(P)]
+        hi_tab = [self._raw_mul(g, P * a) for a in range(q // P)]
+        add = operator.xor if p == 2 else self.add
         exp = [1] * (q - 1)
+        x = 1
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], g)
+            x = exp[i] = add(lo_tab[x % P], hi_tab[x // P])
         log = [-1] * q
         for i, c in enumerate(exp):
             log[c] = i
         self._exp, self._log = exp, log
-        p = self.p
-        if p != 2:  # negation is the identity in characteristic 2
-            self._neg_tab = [self._encode([(-c) % p for c in self._decode(a)])
-                             for a in range(q)]
-        if q <= _ADD_TABLE_LIMIT:
-            if p == 2:
-                self._add_tab = None  # xor path
-            else:
-                self._add_tab = [
-                    [self._encode([(x + y) % p for x, y in
-                                   zip(self._decode(a), self._decode(b))])
-                     for b in range(q)]
-                    for a in range(q)
-                ]
+        if p != 2:  # -1 = g**((q-1)/2); negation is the identity when p = 2
+            half = (q - 1) // 2
+            self._neg_tab = [0] + [exp[log[a] - half] for a in range(1, q)]
 
     # -- kernel ops on codes -------------------------------------------------
 

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DetDivisibleByP, SingularMatrix, ValidationError
+from .errors import (DetDivisibleByP, ScalingFailure, SingularMatrix,
+                     ValidationError, WitnessFailure)
 from .fields import FieldElement, poly_roots
 from .series import binomial_pow
 
@@ -365,7 +366,7 @@ def monomial_conjugacy(f: MultiGerm, trunc=12):
     for j in range(n):
         bad = lhs[j].agree(rhs[j])
         if bad is not None:
-            raise ValidationError(
+            raise WitnessFailure(
                 f"product witness fails at component {j}, degree {bad}")
     return phi_full, t
 
@@ -427,5 +428,5 @@ def diagonal_scaling(cvec, dmat, field):
         for i in range(n):
             acc = cur.mul(acc, cur.pow(delta[i], m_int[i][j]))
         if acc != binv[j]:
-            raise AssertionError("diagonal scaling failed verification")
+            raise ScalingFailure("diagonal scaling failed verification")
     return DiagonalScaling(tuple(delta), cur, None, cur is not field)

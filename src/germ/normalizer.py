@@ -38,6 +38,7 @@ from .errors import (
     InsufficientPrecision,
     NoRootInField,
     NotCoprime,
+    OracleFailure,
     ShapeViolation,
     UnassignedDependency,
     UnsolvableRoot,
@@ -639,7 +640,7 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
     phi = Series(dom, list(eng.phis), j_hi)
     report = verify_conjugacy(f0, nf.germ(trunc), phi.shift(1), trunc)
     if not report.ok:
-        raise UnassignedDependency(
+        raise OracleFailure(
             f"solver output fails the composition oracle at degree "
             f"{report.first_disagreement}")
     wit = ConjugacyWitness(phi, lam, report.checked_order, eng.transcript)
@@ -794,7 +795,7 @@ def bottcher_product(f: Germ1D, trunc=64):
     target = Germ1D(dom, Series.monomial(dom, dom.one, step * d, trunc))
     report = verify_conjugacy(f, target, phi.shift(1), trunc)
     if not report.ok:
-        raise UnassignedDependency(
+        raise OracleFailure(
             f"product construction fails the composition oracle at degree "
             f"{report.first_disagreement}")
     return ConjugacyWitness(phi.truncate(j_hi), dom.one, report.checked_order,

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from germ import jsonio
+from germ import jsonio, normalizer
 from germ.analytic import LaurentDomain
 from germ.cli import main
 from germ.fields import field_create
@@ -237,3 +237,47 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, files,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _failed_oracle(*args):
+    return normalizer.ConjReport(ok=False, checked_order=0,
+                                 first_disagreement=3)
+
+
+_MULTIGERM = {"N": 2, "field": _FIELD3, "C": [[1], [1]],
+              "D": [[2, 1], [0, 2]], "trunc": 12, "eps": [{"1,0": [1]}, {}]}
+_BOTTCHER_GERM = dict(_GERM, series={"trunc": 20, "coeffs": [[0], [0], [1],
+                                                              [1]]})
+
+# (id, input files, argv, forced failure as (object, name, replacement),
+# exit code): 1 for bad input, 2 when a computed result fails its check
+_EXIT_CASES = [
+    ("ok", {"f": _GERM}, ["invariants", "{f}"], None, 0),
+    ("parse-error", {"f": "{not json"}, ["invariants", "{f}"], None, 1),
+    ("validation-error", {"f": _GERM}, ["growth", "{f}"], None, 1),
+    ("normalize-oracle-fails", {"f": _GERM},
+     ["normalize", "{f}", "--order", "12"],
+     (normalizer, "verify_conjugacy", _failed_oracle), 2),
+    ("bottcher-oracle-fails", {"f": _BOTTCHER_GERM}, ["bottcher", "{f}"],
+     (normalizer, "verify_conjugacy", _failed_oracle), 2),
+    ("multinorm-witness-fails", {"f": _MULTIGERM}, ["multinorm", "{f}"],
+     (MultiSeries, "agree", lambda self, other: 1), 2),
+]
+
+
+@pytest.mark.parametrize("files,argv,forced,code",
+                         [pytest.param(*c[1:], id=c[0]) for c in _EXIT_CASES])
+def test_exit_codes(tmp_path, capsys, monkeypatch, files, argv, forced, code):
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(body if isinstance(body, str)
+                               else json.dumps(body))
+    if forced:
+        monkeypatch.setattr(*forced)
+    assert main([a.format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    else:
+        assert err == []

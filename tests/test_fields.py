@@ -1,13 +1,15 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
-from germ.fields import (Field, _is_irreducible, additive_roots,
-                         default_modulus, field_create, poly_roots,
-                         root_extension, unity_relation)
+from germ.fields import (_REGISTRY, Field, _is_irreducible, _prime_factors,
+                         additive_roots, default_modulus, field_create,
+                         poly_roots, root_extension, unity_relation)
 
 
 def test_field_create_examples():
@@ -269,6 +271,51 @@ _PINNED_MODULI = {
 @pytest.mark.parametrize("p,k", sorted(_PINNED_MODULI))
 def test_default_modulus_pinned(p, k):
     assert default_modulus(p, k) == _PINNED_MODULI[p, k]
+
+
+# (modulus, generator exp[1], sha256 prefix of the exp, log, neg and add
+# tables) as the chain of table-free products built them
+_PINNED_TABLES = {
+    (2, 2): ((1, 1, 1), 2, "05599b38ae08f3fb"),
+    (2, 8): ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3, "bf8ba7674061891d"),
+    (2, 16): ((1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,), 3, "c3c807398c14b0cf"),
+    (3, 2): ((1, 0, 1), 4, "ee73cd0c656fe494"),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3, "4781c5ce55b6f373"),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3, "68c000c8759f2cee"),
+    (3, 9): ((1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3, "1b5c8d50fcea6f1c"),
+    (5, 4): ((2, 0, 0, 0, 1), 6, "ec56da9abbe5538a"),
+    (7, 4): ((1, 1, 0, 0, 1), 12, "e914306527544cc3"),
+    (13, 2): ((2, 0, 1), 15, "19c3974ac8ce67f0"),
+    (251, 2): ((1, 0, 1), 256, "177dcc67f72ec9db"),
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(_PINNED_TABLES))
+def test_field_tables_pinned(p, k):
+    f = field_create(p, k)
+    tables = json.dumps([f._exp, f._log, f._neg_tab, f._add_tab])
+    assert (f.modulus, f._exp[1],
+            hashlib.sha256(tables.encode()).hexdigest()[:16]) == \
+        _PINNED_TABLES[p, k]
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 9)])
+def test_table_build_needs_sqrt_q_products(p, k, monkeypatch):
+    # multiplying by the generator is F_p-linear, so the exp table needs
+    # the images of the two half-codes only, not one product per element
+    old = field_create(p, k)
+    monkeypatch.delitem(_REGISTRY, (p, k, old.modulus))
+    calls = []
+    raw_mul = Field._raw_mul
+    monkeypatch.setattr(Field, "_raw_mul", lambda self, a, b:
+                        calls.append(a) or raw_mul(self, a, b))
+    f = field_create(p, k)
+    assert f is not old and f._exp == old._exp
+    q = p ** k
+    # generator search: each candidate below exp[1] takes one power per
+    # prime factor of q - 1, each at most 2*log2(q) products
+    search = f._exp[1] * len(_prime_factors(q - 1)) * 2 * q.bit_length()
+    assert len(calls) <= 4 * p ** ((k + 1) // 2) + search
 
 
 def _additive_equation(field, rng, kind):

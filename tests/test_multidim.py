@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from germ.errors import (DetDivisibleByP, PadicObstruction, SingularMatrix,
-                         ValidationError)
+from germ import multidim
+from germ.errors import (CheckFailed, DetDivisibleByP, PadicObstruction,
+                         SingularMatrix, ValidationError)
 from germ.fields import field_create
 from germ.multidim import (MultiGerm, MultiSeries, diagonal_scaling,
                            gauss_jordan, int_det, mat_identity, mat_inv,
@@ -221,6 +222,21 @@ def test_diagonal_scaling():
     assert ds2.delta is None and ds2.moduli_rank == 1
     ds3 = diagonal_scaling((1, 1), ((2, 0), (0, 2)), F3)
     assert ds3.delta == (1, 1)
+
+
+def test_diagonal_scaling_failed_check(monkeypatch):
+    # a wrong root fails the exact verification with a germ error that
+    # callers catching AssertionError still catch
+    poly_roots = multidim.poly_roots
+
+    def off_by_one(coeffs, **kw):
+        roots, fld = poly_roots(coeffs, **kw)
+        return [r + 1 for r in roots], fld
+
+    monkeypatch.setattr(multidim, "poly_roots", off_by_one)
+    with pytest.raises(CheckFailed) as info:
+        diagonal_scaling((1, 2), ((2, 0), (0, 2)), F3)
+    assert isinstance(info.value, AssertionError)
 
 
 def test_product_stabilization_guard():
