@@ -79,6 +79,10 @@ class LaurentDomain:
 
     def _mk(self, val, digits, prec):
         """Normalize: strip known-zero leading digits, cap stored digits."""
+        n = len(digits)
+        if n and digits[0] and digits[-1] and \
+                n <= (self.prec if prec is None else prec) <= self.prec:
+            return LaurentScalar(val, tuple(digits), prec)  # already normal
         if prec is not None:
             digits = digits[:prec]
         i = 0
@@ -109,11 +113,6 @@ class LaurentDomain:
 
     # -- predicates ----------------------------------------------------------
 
-    @staticmethod
-    def _end(x):
-        """First untrusted digit position (absolute); inf when exact."""
-        return _INF if x.prec is None else x.val + x.prec
-
     def is_zero(self, x):
         """Exactly zero.  Zero-to-precision values are kept in sums."""
         return x.prec is None and not x.unit
@@ -126,31 +125,27 @@ class LaurentDomain:
     # -- ring ops ---------------------------------------------------------------
 
     def add(self, x, y):
-        if self.is_zero(x):
+        xp, yp = x.prec, y.prec
+        if xp is None and not x.unit:
             return y
-        if self.is_zero(y):
+        if yp is None and not y.unit:
             return x
-        v = min(x.val, y.val)
-        end = min(self._end(x), self._end(y))
-        if end == _INF:
-            ln = max(x.val + len(x.unit), y.val + len(y.unit)) - v
+        lo, hi = (x, y) if x.val <= y.val else (y, x)
+        v = lo.val
+        if xp is None and yp is None:
+            ln = max(lo.val + len(lo.unit), hi.val + len(hi.unit)) - v
             prec = None
         else:
+            end = min(_INF if xp is None else x.val + xp,
+                      _INF if yp is None else y.val + yp)
             ln = end - v
             prec = ln
             if ln <= 0:
                 return LaurentScalar(end, (), 0)
             ln = min(ln, self.prec)
         ln = int(ln)
-        lo, hi = (x, y) if x.val <= y.val else (y, x)
-        out = list(lo.unit[:ln])
-        out += [0] * (ln - len(out))
-        off = hi.val - v
-        top = min(len(hi.unit), ln - off)
-        if top > 0:
-            out[off: off + top] = map(self.base.add, out[off: off + top],
-                                      hi.unit[:top])
-        return self._mk(v, out, prec)
+        return self._mk(v, self.base.add_shifted(lo.unit, hi.unit,
+                                                 hi.val - v, ln), prec)
 
     def neg(self, x):
         if not x.unit:
@@ -162,22 +157,22 @@ class LaurentDomain:
         return self.add(x, self.neg(y))
 
     def mul(self, x, y):
-        if self.is_zero(x) or self.is_zero(y):
-            return self.zero
-        if not x.unit or not y.unit:  # zero-to-precision factor
-            return LaurentScalar(x.val + y.val, (), 0)
-        v = x.val + y.val
-        conv_len = len(x.unit) + len(y.unit) - 1
-        if x.prec is None and y.prec is None:
+        xu, yu, xp, yp = x.unit, y.unit, x.prec, y.prec
+        if not xu or not yu:
+            if xp is None and not xu or yp is None and not yu:
+                return self.zero
+            return LaurentScalar(x.val + y.val, (), 0)  # zero to precision
+        conv_len = len(xu) + len(yu) - 1
+        if xp is None and yp is None:
             # the leading digit of a product never cancels, so capping the
             # exact convolution at the working precision is safe
             prec = None if conv_len <= self.prec else self.prec
         else:
-            lx = _INF if x.prec is None else x.prec
-            ly = _INF if y.prec is None else y.prec
-            prec = min(int(min(lx, ly)), self.prec)
+            lx = self.prec if xp is None else xp
+            ly = self.prec if yp is None else yp
+            prec = min(lx, ly, self.prec)
         cap = conv_len if prec is None else min(conv_len, prec)
-        return self._mk(v, self.base.conv(x.unit, y.unit, cap - 1), prec)
+        return self._mk(x.val + y.val, self.base.conv(xu, yu, cap - 1), prec)
 
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of two coefficient
@@ -186,15 +181,14 @@ class LaurentDomain:
         tracked."""
         add, mul, zero = self.add, self.mul, self.is_zero
         out = [self.zero] * (n + 1)
-        nb = len(b)
-        for i in range(min(len(a), n + 1)):
-            x = a[i]
+        terms = [(j, y) for j, y in enumerate(b[: n + 1]) if not zero(y)]
+        for i, x in enumerate(a[: n + 1]):
             if zero(x):
                 continue
-            for j in range(min(nb, n - i + 1)):
-                y = b[j]
-                if not zero(y):
-                    out[i + j] = add(out[i + j], mul(x, y))
+            for j, y in terms:
+                if i + j > n:
+                    break
+                out[i + j] = add(out[i + j], mul(x, y))
         return out
 
     def inv(self, x):

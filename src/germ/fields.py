@@ -13,6 +13,7 @@ embeddings along the tower are computed once and cached.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 import sys
@@ -167,11 +168,13 @@ def _is_irreducible(f, p):
     return True
 
 
+@functools.cache
 def default_modulus(p, k):
     """Deterministic monic irreducible of degree k over Z_p.
 
     The search counts an index upward and unpacks it base p into the low
     coefficients (c_0 least significant), so two runs agree bit for bit.
+    Memoized: every climb of the tower asks again for the same (p, k).
     """
     if k == 1:
         return (0, 1)
@@ -271,6 +274,11 @@ class Field:
         p, k, q = self.p, self.k, self.q
         self._exp = self._log = self._neg_tab = None
         self._add_tab = None
+        # byte v -> v % p: reduces every one-byte slot of a packed sum or
+        # product in one bytes.translate; a byte holds any sum of two digits
+        self._mod_bytes = None
+        if k == 1 and 2 * (p - 1) < 256:
+            self._mod_bytes = (bytes(range(p)) * (256 // p + 1))[:256]
         if q > _TABLE_LIMIT:
             return
         if p != 2 and q <= _ADD_TABLE_LIMIT:  # p = 2 adds by xor
@@ -331,6 +339,31 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def add_shifted(self, lo, hi, off, n):
+        """The first n coefficients of lo + x**off * hi, for code
+        sequences lo and hi and off >= 0.
+
+        Codes below 256 pack one to a byte: over F_{2^k} the two packed ints
+        are xored, and over F_p with 2(p-1) < 256 they are added, which
+        carries nothing from one byte into the next, and every byte is
+        reduced mod p by one translate.
+        """
+        top = min(len(hi), n - off)
+        if top > 0 and (self._mod_bytes is not None or
+                        self.p == 2 and self.q <= 256):
+            a = int.from_bytes(bytes(lo[:n]), "little")
+            b = int.from_bytes(bytes(hi[:top]), "little") << 8 * off
+            if self.p == 2:
+                return list((a ^ b).to_bytes(n, "little"))
+            return list((a + b).to_bytes(n, "little").translate(
+                self._mod_bytes))
+        out = list(lo[:n])
+        out += [0] * (n - len(out))
+        if top > 0:
+            out[off: off + top] = map(self.add, out[off: off + top],
+                                      hi[:top])
+        return out
+
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -357,6 +390,9 @@ class Field:
         largest digit sum min(len)*k*(p-1)**2, so the product's slots are the
         exact digit sums of the polynomial product.  Unpacking reduces them
         mod p after folding alpha**k .. alpha**(2k-2) back along the modulus.
+        Over F_p, when one-byte slots suffice, the codes are the slots: each
+        operand packs straight from its bytes and one translate reduces the
+        product's slots.
 
         Packing and folding cost about k**2 steps per coefficient: a shorter
         operand of fewer than k terms over a table field that adds in one
@@ -382,6 +418,14 @@ class Field:
                             break
                         out[i + j] = add(out[i + j], exp[(lx + ly) % q1])
             return out
+        m = min(n + 1, la + lb - 1)
+        if k == 1 and min(la, lb) * (p - 1) ** 2 < 256:
+            prod = int.from_bytes(bytes(a[:la]), "little") * \
+                int.from_bytes(bytes(b[:lb]), "little")
+            out = list(prod.to_bytes(la + lb - 1, "little")[:m].translate(
+                self._mod_bytes))
+            out += [0] * (n + 1 - m)
+            return out
         stride = 2 * k - 1
         width = (min(la, lb) * k * (p - 1) ** 2).bit_length() + 7 >> 3
         typecode = None
@@ -391,7 +435,6 @@ class Field:
                 break
         prod = self._pack(a, la, stride, width) * \
             self._pack(b, lb, stride, width)
-        m = min(n + 1, la + lb - 1)
         raw = prod.to_bytes((la + lb - 1) * stride * width, "little")
         raw = memoryview(raw)[: m * stride * width]
         if typecode is not None:
@@ -574,7 +617,9 @@ def field_create(p, k, modulus=None):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree k")
-        if k >= 1 and not _is_irreducible(list(modulus), p):
+        # only irreducible moduli are ever registered
+        if (p, k, modulus) not in _REGISTRY and \
+                not _is_irreducible(list(modulus), p):
             raise ReducibleModulus("modulus is reducible")
     key = (p, k, modulus)
     f = _REGISTRY.get(key)

@@ -1,5 +1,8 @@
-"""Shared fuzz helpers for the test suite."""
+"""Shared fuzz helpers and reference kernels for the test suite."""
 
+import math
+
+from germ.analytic import LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
 from germ.fields import field_create
 from germ.series import Germ1D, Series
@@ -48,6 +51,93 @@ def schoolbook_conv(field, a, b, n):
         for j, y in enumerate(b[: n + 1 - i]):
             out[i + j] = field.add(out[i + j], field.mul(x, y))
     return out
+
+
+def schoolbook_add_shifted(field, lo, hi, off, n):
+    """Reference for ``field.add_shifted``: the first n coefficients of
+    lo + x**off * hi, one scalar add per overlapping digit."""
+    out = list(lo[:n])
+    out += [0] * (n - len(out))
+    for j, c in enumerate(hi[: max(n - off, 0)]):
+        out[off + j] = field.add(out[off + j], c)
+    return out
+
+
+# Laurent scalar ops as they were before the digit work moved into the Field
+# kernels, from scalar field ops only: references for LaurentDomain
+
+def laurent_mk_reference(dom, val, digits, prec):
+    """Normalize: strip known-zero leading digits, cap stored digits."""
+    digits = list(digits)
+    if prec is not None:
+        digits = digits[:prec]
+    i = 0
+    while i < len(digits) and digits[i] == 0:
+        i += 1
+    if i == len(digits):
+        if prec is None:
+            return dom.zero
+        if prec <= 0 or val + prec == math.inf:
+            return LaurentScalar(val, (), 0)
+        return LaurentScalar(val + prec, (), 0)
+    digits = digits[i:]
+    val += i
+    if prec is not None:
+        prec -= i
+    while digits and digits[-1] == 0:
+        digits.pop()
+    if prec is None and len(digits) > dom.prec:
+        digits = digits[: dom.prec]
+        prec = dom.prec
+        while digits and digits[-1] == 0:
+            digits.pop()
+    if prec is not None and prec > dom.prec:
+        prec = dom.prec
+        digits = digits[: prec]
+    return LaurentScalar(val, tuple(digits), prec)
+
+
+def _end(x):
+    return math.inf if x.prec is None else x.val + x.prec
+
+
+def laurent_add_reference(dom, x, y):
+    if dom.is_zero(x):
+        return y
+    if dom.is_zero(y):
+        return x
+    v = min(x.val, y.val)
+    end = min(_end(x), _end(y))
+    if end == math.inf:
+        ln = max(x.val + len(x.unit), y.val + len(y.unit)) - v
+        prec = None
+    else:
+        ln = end - v
+        prec = ln
+        if ln <= 0:
+            return LaurentScalar(end, (), 0)
+        ln = min(ln, dom.prec)
+    lo, hi = (x, y) if x.val <= y.val else (y, x)
+    out = schoolbook_add_shifted(dom.base, lo.unit, hi.unit, hi.val - v,
+                                 int(ln))
+    return laurent_mk_reference(dom, v, out, prec)
+
+
+def laurent_mul_reference(dom, x, y):
+    if dom.is_zero(x) or dom.is_zero(y):
+        return dom.zero
+    if not x.unit or not y.unit:
+        return LaurentScalar(x.val + y.val, (), 0)
+    conv_len = len(x.unit) + len(y.unit) - 1
+    if x.prec is None and y.prec is None:
+        prec = None if conv_len <= dom.prec else dom.prec
+    else:
+        lx = math.inf if x.prec is None else x.prec
+        ly = math.inf if y.prec is None else y.prec
+        prec = min(int(min(lx, ly)), dom.prec)
+    cap = conv_len if prec is None else min(conv_len, prec)
+    out = schoolbook_conv(dom.base, x.unit, y.unit, cap - 1)
+    return laurent_mk_reference(dom, x.val + y.val, out, prec)
 
 
 def standard_fields():

@@ -4,6 +4,8 @@ Every test prints a single PASS line (visible with `pytest -v -s`); an
 assertion failure in any of them is a FAIL for that criterion.
 """
 
+import hashlib
+import json
 import pathlib
 import random
 import time
@@ -252,6 +254,9 @@ def test_criterion_08_growth_certificate():
     order = 200
     done = 0
     max_ratio = Fraction(0)
+    # every witness digit and precision, and every certificate, is pinned:
+    # a Laurent kernel that drifts in (val, unit, prec) fails here
+    outputs = hashlib.sha256()
     while done < 50:
         trunc = 24
         co = [base.zero] * (trunc + 1)
@@ -274,6 +279,9 @@ def test_criterion_08_growth_certificate():
         wit = conjugacy_to_truncation(f, order=order)
         assert wit.phi.trunc == order
         cert = certificate(pr, wit.phi.coeffs[1:], v)
+        outputs.update(json.dumps(
+            [[[c.val, list(c.unit), c.prec] for c in wit.phi.coeffs],
+             cert.to_dict()], sort_keys=True).encode())
         if v == 0:
             assert (cert.s0, cert.c) == (1, Fraction(2))
         rep = check_growth(wit, cert)
@@ -281,6 +289,7 @@ def test_criterion_08_growth_certificate():
         if rep.max_ratio > max_ratio:
             max_ratio = rep.max_ratio
         done += 1
+    assert outputs.hexdigest()[:16] == "6e8c5e2a78a211ee"
     # closed-form / recursive cross-check to 10^4
     pr = InvariantProfile(3, 0, 3, 1, (1, 0))
     cert = certificate(pr, [], 1)

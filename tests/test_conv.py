@@ -1,5 +1,5 @@
-"""Cross-check of the packed convolution kernel ``Field.conv`` against a
-schoolbook reference built only from the field's scalar add and mul.
+"""Cross-check of the packed kernels ``Field.conv`` and ``Field.add_shifted``
+against schoolbook references built only from the field's scalar add and mul.
 
 The solver and the composition oracle both multiply through ``Field.conv``,
 so this comparison is what keeps one kernel bug from fooling both.
@@ -10,7 +10,7 @@ import random
 import pytest
 
 from germ.fields import field_create
-from germ_testutil import schoolbook_conv
+from germ_testutil import schoolbook_add_shifted, schoolbook_conv
 
 
 FIELDS = [
@@ -88,6 +88,18 @@ def test_conv_slot_width_boundary():
         a = [1] * length
         n = 2 * length - 2
         assert f2.conv(a, a, n) == schoolbook_conv(f2, a, a, n)
+    # over F_p the largest digit sum is min(len) * (p-1)**2: one short
+    # operand on each side of 256, against a longer one
+    for p, short in ((3, 63), (3, 64), (5, 15), (5, 16), (7, 7), (7, 8),
+                     (13, 1), (13, 2), (17, 1)):
+        fp = field_create(p, 1)
+        a = [p - 1] * short
+        for long in (short, short + 5):
+            b = [p - 1] * long
+            for n in (short - 1, short + long - 2, short + long + 3):
+                want = schoolbook_conv(fp, a, b, n)
+                assert fp.conv(a, b, n) == want, (p, short, long, n)
+                assert fp.conv(b, a, n) == want, (p, short, long, n)
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -106,3 +118,26 @@ def test_conv_both_sides_of_short_operand_cutoff(p, k):
                     want = schoolbook_conv(field, a, b, n)
                     assert field.conv(a, b, n) == want, (a, b, n)
                     assert field.conv(b, a, n) == want, (a, b, n)
+
+
+# byte-packed adds: xor over F_2 and F_4, add and translate over F_3 and
+# F_127 (the largest p whose digit sums fit a byte); per-digit adds beyond
+ADD_FIELDS = FIELDS + [(127, 1), (131, 1)]
+
+
+@pytest.mark.parametrize("p,k", ADD_FIELDS)
+def test_add_shifted_matches_schoolbook(p, k):
+    field = field_create(p, k)
+    rng = random.Random(p * 31 + k)
+    top = field.q - 1
+    for _ in range(60):
+        lo = _operand(field, rng, rng.randrange(0, 30), 0.2)
+        hi = _operand(field, rng, rng.randrange(0, 30), 0.2)
+        if rng.random() < 0.3:
+            lo, hi = [top] * len(lo), [top] * len(hi)
+        for off in (0, 1, rng.randrange(0, 40)):
+            for n in (0, off, off + 1, len(lo), len(hi) + off,
+                      rng.randrange(0, 70)):
+                got = field.add_shifted(lo, hi, off, n)
+                assert got == schoolbook_add_shifted(field, lo, hi, off, n), \
+                    (lo, hi, off, n)

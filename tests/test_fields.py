@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from germ import fields
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
 from germ.fields import (_REGISTRY, Field, _is_irreducible, _prime_factors,
@@ -24,6 +25,22 @@ def test_field_create_examples():
         field_create(3, 2, (2, 0, 1))  # x^2 + 2 = x^2 - 1 splits
     with pytest.raises(FieldTooLarge):
         field_create(3, 50)
+
+
+def test_field_create_repeats_no_irreducibility_test(monkeypatch):
+    # a default modulus is found once per (p, k), and an explicit modulus
+    # already registered was proven irreducible when it was registered
+    f216, f9 = field_create(2, 16), field_create(3, 2, (1, 0, 1))
+    calls = []
+    monkeypatch.setattr(fields, "_is_irreducible", lambda f, p:
+                        calls.append((p, f)) or _is_irreducible(f, p))
+    assert field_create(2, 16) is f216
+    assert field_create(3, 2, (1, 0, 1)) is f9
+    assert field_create(3, 2, (4, 3, 1)) is f9  # reduced mod 3 first
+    assert calls == []
+    with pytest.raises(ReducibleModulus):
+        field_create(3, 2, (2, 0, 1))
+    assert calls == [(3, [2, 0, 1])]
 
 
 def test_field_registry_canonical():
