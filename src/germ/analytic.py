@@ -30,7 +30,11 @@ _INF = math.inf
 
 
 class LaurentScalar:
-    """val + unit-digit vector + trusted digit count (None = exact)."""
+    """val + unit-digit vector + trusted digit count (None = exact).
+
+    The unit is ``bytes`` over fields of at most 256 elements, so the packed
+    Field kernels read and return it as it is, and a tuple of codes over
+    larger fields."""
 
     __slots__ = ("val", "unit", "prec")
 
@@ -48,6 +52,26 @@ class LaurentScalar:
         return f"<t^{self.val}*{list(self.unit)}{tail}>"
 
 
+def _lstrip(digits):
+    """A bytes or tuple unit without its leading zero digits."""
+    if type(digits) is bytes:
+        return digits.lstrip(b"\0")
+    i = 0
+    while i < len(digits) and digits[i] == 0:
+        i += 1
+    return digits[i:]
+
+
+def _rstrip(digits):
+    """A bytes or tuple unit without its trailing zero digits."""
+    if type(digits) is bytes:
+        return digits.rstrip(b"\0")
+    n = len(digits)
+    while n and digits[n - 1] == 0:
+        n -= 1
+    return digits[:n]
+
+
 class LaurentDomain:
     """Coefficient domain F_q((t)) truncated to ``prec`` trusted t-digits."""
 
@@ -55,15 +79,18 @@ class LaurentDomain:
         self.base = base_field
         self.p = base_field.p
         self.prec = prec
-        self.zero = LaurentScalar(_INF, (), None)
-        self.one = LaurentScalar(0, (base_field.one,), None)
+        # every unit has this type: codes fit a byte when q <= 256
+        self._unit = unit = bytes if base_field.q <= 256 else tuple
+        self._empty = unit()
+        self.zero = LaurentScalar(_INF, self._empty, None)
+        self.one = LaurentScalar(0, unit((base_field.one,)), None)
 
     # -- constructors -------------------------------------------------------
 
     def constant(self, code):
         if code == 0:
             return self.zero
-        return LaurentScalar(0, (code,), None)
+        return LaurentScalar(0, self._unit((code,)), None)
 
     def from_int(self, n):
         return self.constant(self.base.from_int(n))
@@ -72,44 +99,42 @@ class LaurentDomain:
         code = self.base.one if code is None else code
         if code == 0:
             return self.zero
-        return LaurentScalar(v, (code,), None)
+        return LaurentScalar(v, self._unit((code,)), None)
 
     def make(self, val, digits, prec=None):
-        return self._mk(val, list(digits), prec)
+        return self._mk(val, digits, prec)
 
     def _mk(self, val, digits, prec):
         """Normalize: strip known-zero leading digits, cap stored digits."""
-        n = len(digits)
-        if n and digits[0] and digits[-1] and \
-                n <= (self.prec if prec is None else prec) <= self.prec:
-            return LaurentScalar(val, tuple(digits), prec)  # already normal
+        if type(digits) is not self._unit:
+            digits = self._unit(digits)
+        n, cap = len(digits), self.prec
+        if n and digits[0] and n <= (cap if prec is None else prec) <= cap:
+            # normal once trailing zeros are gone
+            return LaurentScalar(val, _rstrip(digits) if not digits[-1]
+                                 else digits, prec)
         if prec is not None:
             digits = digits[:prec]
-        i = 0
-        while i < len(digits) and digits[i] == 0:
-            i += 1
-        if i == len(digits):
+        rest = _lstrip(digits)
+        if not rest:
             if prec is None:
                 return self.zero
             if prec <= 0 or val + prec == _INF:
-                return LaurentScalar(val, (), 0)
+                return LaurentScalar(val, self._empty, 0)
             # all trusted digits vanish: zero to precision val+prec
-            return LaurentScalar(val + prec, (), 0)
-        digits = digits[i:]
+            return LaurentScalar(val + prec, self._empty, 0)
+        i = len(digits) - len(rest)
         val += i
         if prec is not None:
             prec -= i
-        while digits and digits[-1] == 0:
-            digits.pop()
-        if prec is None and len(digits) > self.prec:
-            digits = digits[: self.prec]
-            prec = self.prec
-            while digits and digits[-1] == 0:
-                digits.pop()
-        if prec is not None and prec > self.prec:
-            prec = self.prec
-            digits = digits[: prec]
-        return LaurentScalar(val, tuple(digits), prec)
+        digits = _rstrip(rest)
+        if prec is None and len(digits) > cap:
+            digits = _rstrip(digits[:cap])
+            prec = cap
+        if prec is not None and prec > cap:
+            prec = cap
+            digits = digits[:cap]
+        return LaurentScalar(val, digits, prec)
 
     # -- predicates ----------------------------------------------------------
 
@@ -133,17 +158,20 @@ class LaurentDomain:
         lo, hi = (x, y) if x.val <= y.val else (y, x)
         v = lo.val
         if xp is None and yp is None:
-            ln = max(lo.val + len(lo.unit), hi.val + len(hi.unit)) - v
+            ln = lo.val + len(lo.unit)
+            if hi.val + len(hi.unit) > ln:
+                ln = hi.val + len(hi.unit)
+            ln -= v
             prec = None
         else:
-            end = min(_INF if xp is None else x.val + xp,
-                      _INF if yp is None else y.val + yp)
-            ln = end - v
-            prec = ln
+            end = _INF if xp is None else x.val + xp
+            if yp is not None and y.val + yp < end:
+                end = y.val + yp
+            ln = prec = end - v
             if ln <= 0:
-                return LaurentScalar(end, (), 0)
-            ln = min(ln, self.prec)
-        ln = int(ln)
+                return LaurentScalar(end, self._empty, 0)
+            if ln > self.prec:
+                ln = self.prec
         return self._mk(v, self.base.add_shifted(lo.unit, hi.unit,
                                                  hi.val - v, ln), prec)
 
@@ -151,7 +179,7 @@ class LaurentDomain:
         if not x.unit:
             return x
         neg = self.base.neg
-        return LaurentScalar(x.val, tuple(neg(d) for d in x.unit), x.prec)
+        return LaurentScalar(x.val, self._unit(map(neg, x.unit)), x.prec)
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -161,18 +189,21 @@ class LaurentDomain:
         if not xu or not yu:
             if xp is None and not xu or yp is None and not yu:
                 return self.zero
-            return LaurentScalar(x.val + y.val, (), 0)  # zero to precision
+            return LaurentScalar(x.val + y.val, self._empty, 0)  # O(t^v)
+        cap = self.prec
         conv_len = len(xu) + len(yu) - 1
         if xp is None and yp is None:
             # the leading digit of a product never cancels, so capping the
             # exact convolution at the working precision is safe
-            prec = None if conv_len <= self.prec else self.prec
+            prec = None if conv_len <= cap else cap
         else:
-            lx = self.prec if xp is None else xp
-            ly = self.prec if yp is None else yp
-            prec = min(lx, ly, self.prec)
-        cap = conv_len if prec is None else min(conv_len, prec)
-        return self._mk(x.val + y.val, self.base.conv(xu, yu, cap - 1), prec)
+            prec = cap
+            if xp is not None and xp < prec:
+                prec = xp
+            if yp is not None and yp < prec:
+                prec = yp
+        n = conv_len if prec is None or conv_len <= prec else prec
+        return self._mk(x.val + y.val, self.base.conv(xu, yu, n - 1), prec)
 
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of two coefficient
@@ -199,7 +230,8 @@ class LaurentDomain:
                 f"inverse of a value only known to be O(t^{x.val})")
         base = self.base
         if len(x.unit) == 1:
-            return LaurentScalar(-x.val, (base.inv(x.unit[0]),), x.prec)
+            return LaurentScalar(-x.val, self._unit((base.inv(x.unit[0]),)),
+                                 x.prec)
         ln = self.prec if x.prec is None else min(x.prec, self.prec)
         out = Series(base, x.unit, ln - 1).reciprocal().coeffs
         return self._mk(-x.val, out, ln)
@@ -223,7 +255,7 @@ class LaurentDomain:
     def frob(self, x, m=1):
         if m == 0 or not x.unit:
             if not x.unit and not self.is_zero(x):
-                return LaurentScalar(x.val * self.p ** m, (), 0)
+                return LaurentScalar(x.val * self.p ** m, self._empty, 0)
             return x
         step = self.p ** m
         frob = self.base.frob

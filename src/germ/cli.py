@@ -9,6 +9,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,7 +247,10 @@ def _r_sequence(text):
             f"{text!r} is not a comma-separated list of integers") from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each call gets a fresh namespace."""
     ap = _Parser(
         prog="germ",
         description="classify superattracting germs in characteristic p")

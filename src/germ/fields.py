@@ -174,6 +174,7 @@ def default_modulus(p, k):
 
     The search counts an index upward and unpacks it base p into the low
     coefficients (c_0 least significant), so two runs agree bit for bit.
+    A candidate with a root at 1 or -1 is reducible and skips Ben-Or's test.
     Memoized: every climb of the tower asks again for the same (p, k).
     """
     if k == 1:
@@ -186,7 +187,8 @@ def default_modulus(p, k):
             rest //= p
         if rest == 0 and c[0] != 0:
             f = c + [1]
-            if _is_irreducible(f, p):
+            if sum(f) % p and (sum(f[::2]) - sum(f[1::2])) % p and \
+                    _is_irreducible(f, p):
                 return tuple(f)
         if rest:
             raise ReducibleModulus(f"no irreducible of degree {k} found mod {p}")
@@ -279,6 +281,10 @@ class Field:
         self._mod_bytes = None
         if k == 1 and 2 * (p - 1) < 256:
             self._mod_bytes = (bytes(range(p)) * (256 // p + 1))[:256]
+        # digit vectors add as packed bytes: xor, or add and translate
+        self._byte_add = p == 2 and q <= 256 or self._mod_bytes is not None
+        # the most terms a one-byte slot of an F_p product can sum
+        self._byte_terms = 255 // (p - 1) ** 2 if k == 1 else 0
         if q > _TABLE_LIMIT:
             return
         if p != 2 and q <= _ADD_TABLE_LIMIT:  # p = 2 adds by xor
@@ -346,17 +352,20 @@ class Field:
         Codes below 256 pack one to a byte: over F_{2^k} the two packed ints
         are xored, and over F_p with 2(p-1) < 256 they are added, which
         carries nothing from one byte into the next, and every byte is
-        reduced mod p by one translate.
+        reduced mod p by one translate.  Packed, bytes operands give bytes.
         """
-        top = min(len(hi), n - off)
-        if top > 0 and (self._mod_bytes is not None or
-                        self.p == 2 and self.q <= 256):
-            a = int.from_bytes(bytes(lo[:n]), "little")
-            b = int.from_bytes(bytes(hi[:top]), "little") << 8 * off
-            if self.p == 2:
-                return list((a ^ b).to_bytes(n, "little"))
-            return list((a + b).to_bytes(n, "little").translate(
-                self._mod_bytes))
+        top = len(hi) if len(hi) < n - off else n - off
+        if self._byte_add:
+            a = int.from_bytes(lo[:n], "little")
+            if top <= 0:
+                out = a.to_bytes(n, "little")
+            elif self.p == 2:
+                out = (a ^ int.from_bytes(hi[:top], "little") << 8 * off
+                       ).to_bytes(n, "little")
+            else:
+                out = (a + (int.from_bytes(hi[:top], "little") << 8 * off)
+                       ).to_bytes(n, "little").translate(self._mod_bytes)
+            return out if type(lo) is bytes else list(out)
         out = list(lo[:n])
         out += [0] * (n - len(out))
         if top > 0:
@@ -392,7 +401,7 @@ class Field:
         mod p after folding alpha**k .. alpha**(2k-2) back along the modulus.
         Over F_p, when one-byte slots suffice, the codes are the slots: each
         operand packs straight from its bytes and one translate reduces the
-        product's slots.
+        product's slots; bytes operands then give bytes.
 
         Packing and folding cost about k**2 steps per coefficient: a shorter
         operand of fewer than k terms over a table field that adds in one
@@ -401,9 +410,23 @@ class Field:
         """
         if n < 0:
             return []
-        la, lb = _support_len(a, n + 1), _support_len(b, n + 1)
+        # bytes operands (Laurent units, already stripped) are taken at their
+        # length unscanned: a zero digit at the end can only widen a slot
+        as_bytes = type(a) is bytes
+        if as_bytes:
+            la = len(a) if len(a) <= n else n + 1
+            lb = len(b) if len(b) <= n else n + 1
+        else:
+            la, lb = _support_len(a, n + 1), _support_len(b, n + 1)
         if not la or not lb:
             return [0] * (n + 1)
+        if la <= self._byte_terms or lb <= self._byte_terms:
+            prod = int.from_bytes(a[:la], "little") * \
+                int.from_bytes(b[:lb], "little")
+            m = la + lb - 1
+            out = prod.to_bytes(m if m > n else n + 1, "little")[: n + 1]
+            out = out.translate(self._mod_bytes)
+            return out if as_bytes else list(out)
         p, k = self.p, self.k
         if min(la, lb) < k and self._exp is not None and \
                 (p == 2 or self._add_tab is not None):
@@ -419,13 +442,6 @@ class Field:
                         out[i + j] = add(out[i + j], exp[(lx + ly) % q1])
             return out
         m = min(n + 1, la + lb - 1)
-        if k == 1 and min(la, lb) * (p - 1) ** 2 < 256:
-            prod = int.from_bytes(bytes(a[:la]), "little") * \
-                int.from_bytes(bytes(b[:lb]), "little")
-            out = list(prod.to_bytes(la + lb - 1, "little")[:m].translate(
-                self._mod_bytes))
-            out += [0] * (n + 1 - m)
-            return out
         stride = 2 * k - 1
         width = (min(la, lb) * k * (p - 1) ** 2).bit_length() + 7 >> 3
         typecode = None

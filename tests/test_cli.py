@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import germ
 from germ import jsonio, normalizer
 from germ.analytic import LaurentDomain
 from germ.cli import main
@@ -281,3 +285,42 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, files, argv, forced, code):
         assert len(err) == 1 and err[0].startswith("error: "), err
     else:
         assert err == []
+
+
+# one process, one cached parser: no option of a call may reach the next
+_CALL_SEQUENCE = [
+    ["invariants", "{f}", "--out", "{dir}/inv.json"],
+    ["normalize", "{f}", "--order", "20", "--seed", "3", "--no-extension",
+     "--choice", "nprime", "--out", "{dir}/nf.json"],
+    ["normalize", "{f}", "--order", "0"],
+    ["normalize", "{f}", "--order", "16"],
+    ["jtable", "--p", "3", "--d", "18", "--r", "19,12,0", "--nmax", "5"],
+    ["invariants", "{f}"],
+]
+
+
+def _outcome(code, out, err, outdir):
+    files = {p.name: p.read_text() for p in sorted(outdir.iterdir())}
+    return code, out, err, files
+
+
+def test_main_calls_in_one_process_match_separate_processes(
+        germ_file, tmp_path, capsys):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(germ.__file__)))
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    outcomes = {together: [], apart: []}
+    for argv in _CALL_SEQUENCE:
+        for outdir in (together, apart):
+            outdir.mkdir(exist_ok=True)
+            args = [a.format(f=germ_file, dir=outdir) for a in argv]
+            if outdir is together:
+                code = main(args)
+                out, err = capsys.readouterr()
+            else:
+                run = subprocess.run([sys.executable, "-m", "germ.cli", *args],
+                                     capture_output=True, text=True, env=env)
+                code, out, err = run.returncode, run.stdout, run.stderr
+            outcomes[outdir].append(_outcome(code, out, err, outdir))
+    assert [o[0] for o in outcomes[together]] == [0, 0, 1, 0, 0, 0]
+    assert outcomes[together] == outcomes[apart]

@@ -275,6 +275,21 @@ def test_poly_roots_match_sympy(p):
         assert got == want, coeffs
 
 
+def _first_irreducible(p, k):
+    """default_modulus's search order with every candidate put through
+    Ben-Or's test, none skipped for a root at 1 or -1."""
+    for idx in itertools.count(1):
+        c = [idx // p ** i % p for i in range(k)]
+        if c[0] and _is_irreducible(c + [1], p):
+            return tuple(c + [1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_default_modulus_root_filter_keeps_the_search_order(p):
+    for k in range(2, 13):
+        assert default_modulus(p, k) == _first_irreducible(p, k), k
+
+
 # default moduli of the fields the extension climbs reach, as they were
 # before Ben-Or's test replaced Rabin's: the search order must not change
 _PINNED_MODULI = {

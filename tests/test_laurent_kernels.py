@@ -3,7 +3,8 @@ built from scalar field ops only, as hypothesis properties.
 
 Each op must agree exactly in (val, unit, prec): the digit work runs in the
 packed Field kernels, and the precision each output carries is part of every
-witness the growth certificate reads.
+witness the growth certificate reads.  Units compare as tuples: a domain
+over at most 256 elements stores them as bytes, a larger one as tuples.
 """
 
 import pytest
@@ -12,19 +13,31 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from germ.analytic import LaurentDomain  # noqa: E402
+from germ.analytic import LaurentDomain, LaurentScalar  # noqa: E402
 from germ.fields import field_create  # noqa: E402
+from germ.series import Series  # noqa: E402
 from germ_testutil import (laurent_add_reference,  # noqa: E402
                            laurent_mk_reference, laurent_mul_reference)
 
 
 # F_2, F_4: packed xor; F_3, F_5, F_7: packed add and translate, and F_5 and
 # F_7 cross conv's one-byte bound at 16 and 8 digits; F_9: per-digit adds.
-# The second F_3 domain reaches F_3's bound at 64 digits.
+# The second F_3 domain reaches F_3's bound at 64 digits.  F_{17^2} has 289
+# elements, so its units stay tuples.
 KERNEL_DOMAINS = [LaurentDomain(field_create(p, k), prec=prec)
                   for p, k, prec in [(2, 1, 20), (2, 2, 20), (3, 1, 20),
                                      (3, 1, 70), (5, 1, 20), (7, 1, 20),
-                                     (3, 2, 20)]]
+                                     (3, 2, 20), (17, 2, 20)]]
+
+
+def _unit_type(dom):
+    return bytes if dom.base.q <= 256 else tuple
+
+
+def _in_domain(dom, x):
+    """A reference scalar with its unit stored as the domain stores it."""
+    return LaurentScalar(x.val, _unit_type(dom)(x.unit), x.prec)
+
 
 kernel_laws = settings(max_examples=400, deadline=None, derandomize=True,
                        database=None)
@@ -63,11 +76,11 @@ def laurent_pairs(draw):
         prec = None if x.prec is None and draw(st.booleans()) else \
             draw(st.integers(1, dom.prec + 4))
         y = laurent_mk_reference(dom, x.val, digits, prec)
-    return dom, x, y
+    return dom, _in_domain(dom, x), _in_domain(dom, y)
 
 
 def _triple(x):
-    return x.val, x.unit, x.prec
+    return x.val, tuple(x.unit), x.prec
 
 
 @kernel_laws
@@ -96,3 +109,22 @@ def test_laurent_make_matches_reference(data):
     prec = data.draw(st.one_of(st.none(), st.integers(0, dom.prec + 6)))
     assert _triple(dom.make(val, digits, prec)) == \
         _triple(laurent_mk_reference(dom, val, digits, prec))
+
+
+@kernel_laws
+@given(laurent_pairs())
+def test_units_keep_the_domain_type(pair):
+    # a unit of another type would silently leave the packed kernels
+    dom, x, y = pair
+    out = [dom.zero, dom.one, dom.constant(dom.base.q - 1), dom.from_int(2),
+           dom.t_power(-2), dom.t_power(3, dom.base.q - 1),
+           dom.make(x.val, list(x.unit), x.prec), dom.neg(x),
+           dom.add(x, y), dom.sub(x, y), dom.mul(x, y), dom.frob(x),
+           dom.frob(y, 2)]
+    if x.unit or dom.is_zero(x):
+        out.append(dom.frob_root(dom.frob(x)))
+    if x.unit:
+        out += [dom.inv(x), dom.div(y, x)]
+    f = Series(dom.base, [0, 1, dom.base.q - 1], 2)
+    out += dom.lift_series(f).coeffs
+    assert [type(z.unit) for z in out] == [_unit_type(dom)] * len(out)
