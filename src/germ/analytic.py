@@ -222,6 +222,18 @@ class LaurentDomain:
                 out[i + j] = add(out[i + j], mul(x, y))
         return out
 
+    def add_shifted(self, lo, hi, off, n):
+        """The first n coefficients of lo + x**off * hi, for scalar lists:
+        one ``add`` per overlapping coefficient, so an exact zero in hi
+        leaves lo's coefficient as it is."""
+        out = list(lo[:n])
+        out += [self.zero] * (n - len(out))
+        top = min(len(hi), n - off)
+        if top > 0:
+            out[off: off + top] = map(self.add, out[off: off + top],
+                                      hi[:top])
+        return out
+
     def inv(self, x):
         if self.is_zero(x):
             raise DivisionByZero("inverse of 0 in the Laurent ring")

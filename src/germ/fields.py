@@ -353,6 +353,9 @@ class Field:
         are xored, and over F_p with 2(p-1) < 256 they are added, which
         carries nothing from one byte into the next, and every byte is
         reduced mod p by one translate.  Packed, bytes operands give bytes.
+        Otherwise the digits add one by one: xor when p = 2, through the
+        addition table where there is one, and by ``add`` over table-free
+        odd-p fields.
         """
         top = len(hi) if len(hi) < n - off else n - off
         if self._byte_add:
@@ -369,8 +372,14 @@ class Field:
         out = list(lo[:n])
         out += [0] * (n - len(out))
         if top > 0:
-            out[off: off + top] = map(self.add, out[off: off + top],
-                                      hi[:top])
+            pairs = zip(out[off: off + top], hi[:top])
+            tab, add = self._add_tab, self.add
+            if self.p == 2:
+                out[off: off + top] = [x ^ y for x, y in pairs]
+            elif tab is not None:
+                out[off: off + top] = [tab[x][y] for x, y in pairs]
+            else:
+                out[off: off + top] = [add(x, y) for x, y in pairs]
         return out
 
     def mul(self, a, b):
@@ -403,10 +412,11 @@ class Field:
         operand packs straight from its bytes and one translate reduces the
         product's slots; bytes operands then give bytes.
 
-        Packing and folding cost about k**2 steps per coefficient: a shorter
-        operand of fewer than k terms over a table field that adds in one
-        step (p = 2 or an addition table) measured faster summed term by
-        term through the exp/log tables.
+        Packing and folding cost about k**2 steps per coefficient: over a
+        table field, a one-term operand scales the other through the exp/log
+        tables in one comprehension, and a shorter operand of fewer than k
+        terms, when the field adds in one step (p = 2 or an addition table),
+        measured faster summed term by term through the same tables.
         """
         if n < 0:
             return []
@@ -427,6 +437,12 @@ class Field:
             out = prod.to_bytes(m if m > n else n + 1, "little")[: n + 1]
             out = out.translate(self._mod_bytes)
             return out if as_bytes else list(out)
+        if (la == 1 or lb == 1) and self._exp is not None:
+            c, v = (a[0], b[:lb]) if la == 1 else (b[0], a[:la])
+            exp, log, q1, lc = self._exp, self._log, self.q - 1, self._log[c]
+            out = [exp[(lc + log[y]) % q1] if y else 0 for y in v]
+            out.extend([0] * (n + 1 - len(out)))
+            return out
         p, k = self.p, self.k
         if min(la, lb) < k and self._exp is not None and \
                 (p == 2 or self._add_tab is not None):

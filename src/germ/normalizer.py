@@ -21,7 +21,15 @@ maintained truncated series:
 - the right side needs single coefficients of (T^m phi)^(d+i) for the
   finitely many i with nonzero target coefficient; powers are reduced along
   base-p digits of the exponent to cached "chains" whose entries are only
-  memoised once they no longer depend on unassigned phi's.
+  memoised once they no longer depend on unassigned phi's.  Each chain
+  coefficient is summed once: its terms that read only fixed phi's are
+  added left to right and kept, and the one term that reads the newest
+  unknown is added last, so the value read before that unknown is fixed
+  and the final value share one sum.
+
+Assigning phi_j updates the left side and the twist powers by whole
+vectors, a one-term ``conv`` plus ``add_shifted``, which over either
+domain adds each coefficient's terms in the order a scalar loop would.
 
 Setting unassigned coefficients to zero during evaluation is sound: the
 dependence of each equation on not-yet-fixed unknowns other than phi_j is
@@ -161,6 +169,7 @@ class _Engine:
         self.supp = []                      # (i, step, M, tau) with eps_t[i] != 0
         self.twistpow = {}                  # tau -> [None, psi, ..., psi^c]
         self.chains = {}                    # (tau, M) -> memoised prefix
+        self.partials = {}                  # (tau, M, l) -> final b >= 1 sum
 
         # slot bases: the distinct invariant positions, with the multiplier
         # of the unknown's Frobenius power they inject into the right side
@@ -283,25 +292,45 @@ class _Engine:
             return vals[l]
         cap = min(l, self._final_cap(tau, mexp))
         while len(vals) <= cap:
-            vals.append(self._chain_compute(tau, mexp, len(vals)))
+            vals.append(self._chain_compute(tau, mexp, len(vals), True))
         if l < len(vals):
             return vals[l]
-        return self._chain_compute(tau, mexp, l)  # transient: not yet final
+        return self._chain_compute(tau, mexp, l, False)  # transient
 
-    def _chain_compute(self, tau, mexp, l):
+    def _chain_compute(self, tau, mexp, l, final):
+        """Coefficient l of (T^tau phi)^mexp = psi^c0 (T^(tau+1) phi)^mp with
+        c0 = mexp mod p: the sum over b of s_b a_(l-pb), s the inner power's
+        coefficients and a psi^c0's.  The terms b >= 1 are summed once, left
+        to right; once they are all final their sum is kept until the
+        coefficient itself is.  The term b = 0 reads a_l, the newest
+        unknown, and is added last."""
         dom, p = self.dom, self.p
-        c0 = mexp % p
-        mp = mexp // p
-        small = self._twist_power(tau, c0)
-        total = dom.zero
         add, mul, zero = dom.add, dom.mul, dom.is_zero
-        for b in range(0, l // p + 1):
-            s = self._chain_coef(tau + 1, mp, b)
-            if not zero(s):
-                a = small[l - p * b]
-                if not zero(a):
-                    total = add(total, mul(s, a))
-        return total
+        mp = mexp // p
+        small = self._twist_power(tau, mexp % p)
+        key = (tau, mexp, l)
+        rest = self.partials.pop(key, None) if final else \
+            self.partials.get(key)
+        if mp < p:
+            inner = self._twist_power(tau + 1, mp)
+        else:
+            inner = [self._chain_coef(tau + 1, mp, b) for b in
+                     range(1 if rest is not None else l // p + 1)]
+        if rest is None:
+            rest = dom.zero
+            for b in range(1, l // p + 1):
+                s = inner[b]
+                if not zero(s):
+                    a = small[l - p * b]
+                    if not zero(a):
+                        rest = add(rest, mul(s, a))
+            if not final and l - p <= self.frontier and \
+                    l // p <= self._final_cap(tau + 1, mp):
+                self.partials[key] = rest
+        s, a = inner[0], small[l]
+        if zero(s) or zero(a):
+            return rest
+        return add(rest, mul(s, a))
 
     def _rhs_known(self, n):
         """rhs_n with every unassigned unknown read as zero."""
@@ -379,37 +408,31 @@ class _Engine:
         if dom.is_zero(value):
             return
         n_hi = self.n_hi
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
-        if self.d * j <= n_hi:
-            wj = self._W(j)
-            acc = self.lhs_acc
-            for n in range(self.d * j, n_hi + 1):
-                b = wj[n]
-                if not zero(b):
-                    acc[n] = add(acc[n], mul(value, b))
+        conv, add_shifted = dom.conv, dom.add_shifted
+        lo = self.d * j
+        if lo <= n_hi:
+            self.lhs_acc = add_shifted(
+                self.lhs_acc, conv([value], self._W(j)[lo:], n_hi - lo),
+                lo, n_hi + 1)
         for tau, fam in self.twistpow.items():
             dtw = dom.frob(value, tau)
             for c in range(len(fam) - 1, 0, -1):
-                lst = fam[c]
                 dpow = dom.one
                 for l in range(1, c + 1):
-                    dpow = mul(dpow, dtw)
-                    if j * l > n_hi:
+                    dpow = dom.mul(dpow, dtw)
+                    off = j * l
+                    if off > n_hi:
                         break
                     coef = math.comb(c, l) % self.p
                     if coef == 0:
                         continue
-                    cd = mul(dom.from_int(coef), dpow)
-                    if c - l == 0:
-                        lst[j * l] = add(lst[j * l], cd)
+                    cd = dom.mul(dom.from_int(coef), dpow)
+                    if c == l:
+                        fam[c][off] = dom.add(fam[c][off], cd)
                     else:
-                        low = fam[c - l]
-                        off = j * l
-                        for idx in range(0, n_hi + 1 - off):
-                            b = low[idx]
-                            if not zero(b):
-                                lst[idx + off] = add(lst[idx + off],
-                                                     mul(cd, b))
+                        fam[c] = add_shifted(
+                            fam[c], conv([cd], fam[c - l], n_hi - off),
+                            off, n_hi + 1)
 
     # -- driving ----------------------------------------------------------------------
 

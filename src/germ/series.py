@@ -3,9 +3,11 @@
 A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
 ``one`` and methods ``add, sub, neg, mul, inv, pow, frob, frob_root,
-from_int, is_zero, is_zero_to_prec`` and ``conv(a, b, n)``, the first n+1
-coefficients of the product of two coefficient lists.  Every series product
-goes through ``conv``.  ``is_zero_to_prec`` is the test comparisons use: true
+from_int, is_zero, is_zero_to_prec``, ``conv(a, b, n)``, the first n+1
+coefficients of the product of two coefficient lists, and
+``add_shifted(lo, hi, off, n)``, the first n coefficients of lo + x**off * hi.
+Every series product goes through ``conv``, and ``compose`` adds each scaled
+power of the inner series through ``conv`` and ``add_shifted``.  ``is_zero_to_prec`` is the test comparisons use: true
 for a value that cannot be told from zero at its precision (over a finite
 field, the same as ``is_zero``).  Finite fields store coefficients as int
 codes; the analytic module supplies a t-adic domain with object
@@ -250,25 +252,25 @@ class Series:
             t = min(t, trunc)
         out = [dom.zero] * (t + 1)
         out[0] = self.coeffs[0] if self.coeffs else dom.zero
-        acc = None
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
+        # inner**l has order exactly l*og (a product of leading coefficients
+        # is never an exact zero), so each power is kept from there on
+        tail = inner.coeffs[og: t + 1]
+        power = None
+        zero = dom.is_zero
         # powers of inner past the outer's last nonzero coefficient are never
         # read; t above still comes from self.trunc, not from that degree
         deg = len(self.coeffs) - 1
         while deg > 0 and zero(self.coeffs[deg]):
             deg -= 1
         for l in range(1, deg + 1):
-            if l * og > t:
+            lo = l * og
+            if lo > t:
                 break
-            acc = inner.truncate(t) if acc is None else acc.mul(inner, trunc=t)
+            power = tail if power is None else dom.conv(power, tail, t - lo)
             fl = self.coeffs[l]
-            if zero(fl):
-                continue
-            ac = acc.coeffs
-            for n in range(acc.ord_floor(), min(len(ac), t + 1)):
-                b = ac[n]
-                if not zero(b):
-                    out[n] = add(out[n], mul(fl, b))
+            if not zero(fl):
+                out = dom.add_shifted(out, dom.conv([fl], power, t - lo),
+                                      lo, t + 1)
         return Series(dom, out, t)
 
     def __call__(self, inner):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,8 +7,8 @@ import pytest
 
 from germ.analytic import (LaurentDomain, certificate, check_growth,
                            conjugacy_to_truncation, truncation_target)
-from germ.errors import (DivisionByZero, PrecisionExhausted, UnsolvableRoot,
-                         ValidationError)
+from germ.errors import (DivisionByZero, GermError, PrecisionExhausted,
+                         UnsolvableRoot, ValidationError)
 from germ.fields import field_create
 from germ.invariants import InvariantProfile, profile
 from germ.normalizer import ConjugacyWitness, solve_prescribed
@@ -161,6 +163,39 @@ def test_multislot_equation_surfaces_unsolvable():
     assert pr.r[0] == 2
     with pytest.raises(UnsolvableRoot):
         conjugacy_to_truncation(f, order=30)
+
+
+def test_r0_two_witnesses_pinned():
+    # r_0 = 2: the right side reads psi^2 chains, which criterion 08 (r_0 = 1,
+    # psi only) never does.  Every solved witness's (val, unit, prec) and the
+    # exception of every unsolvable germ are pinned, so a chain sum whose
+    # precision drifts fails here.
+    rng = random.Random(2020)
+    outputs = hashlib.sha256()
+    solved = 0
+    for _ in range(40):
+        dom = LaurentDomain(F3, prec=24)
+        co = [dom.zero] * 25
+        co[3] = dom.one
+        co[5] = dom.make(0, [2] + [rng.randrange(3)
+                                   for _ in range(rng.randrange(3))])
+        for idx in range(6, 11):
+            if rng.random() < 0.6:
+                digits = [rng.randrange(1, 3)] + \
+                    [rng.randrange(3) for _ in range(rng.randrange(3))]
+                co[idx] = dom.make(rng.randrange(3), digits)
+        f = Germ1D(dom, Series(dom, co, 24))
+        assert profile(f).r[0] == 2
+        try:
+            wit = conjugacy_to_truncation(f, order=60)
+        except GermError as exc:
+            outputs.update(type(exc).__name__.encode())
+            continue
+        solved += 1
+        outputs.update(json.dumps(
+            [[c.val, list(c.unit), c.prec] for c in wit.phi.coeffs]).encode())
+    assert solved == 12
+    assert outputs.hexdigest()[:16] == "dca0556e495fb601"
 
 
 def test_rejects_negative_valuations():

@@ -120,9 +120,35 @@ def test_conv_both_sides_of_short_operand_cutoff(p, k):
                     assert field.conv(b, a, n) == want, (a, b, n)
 
 
+# the table fields of FIELDS, and two prime fields with tables whose digits
+# are too wide for one-byte slots, so a one-term product leaves the byte path
+ONE_TERM_FIELDS = [(p, k) for p, k in FIELDS if p ** k <= 1 << 16] + \
+    [(17, 1), (257, 1)]
+
+
+@pytest.mark.parametrize("p,k", ONE_TERM_FIELDS)
+def test_conv_one_term_operand(p, k):
+    # a one-term operand scales the other through the exp/log tables
+    field = field_create(p, k)
+    assert field._exp is not None
+    rng = random.Random(p * 17 + k)
+    top = field.q - 1
+    for length in (1, 2, 9, 40):
+        for zero_rate in (0.0, 0.4):
+            v = _operand(field, rng, length, zero_rate)
+            for c in (0, 1, top, field.rand(rng)):
+                for one in ([c], [c, 0, 0]):
+                    for n in (0, length // 2, length - 1, length, length + 6):
+                        want = schoolbook_conv(field, one, v, n)
+                        assert field.conv(one, v, n) == want, (c, v, n)
+                        assert field.conv(v, one, n) == want, (c, v, n)
+
+
 # byte-packed adds: xor over F_2 and F_4, add and translate over F_3 and
-# F_127 (the largest p whose digit sums fit a byte); per-digit adds beyond
-ADD_FIELDS = FIELDS + [(127, 1), (131, 1)]
+# F_127 (the largest p whose digit sums fit a byte); per-digit adds beyond:
+# xor over F_{2^16}, the addition table over F_9, F_{3^3} and F_{5^2}, and
+# one add call per digit over table-free odd-p fields
+ADD_FIELDS = FIELDS + [(127, 1), (131, 1), (5, 2)]
 
 
 @pytest.mark.parametrize("p,k", ADD_FIELDS)

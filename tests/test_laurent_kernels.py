@@ -101,6 +101,26 @@ def test_laurent_mul_matches_reference(pair):
 
 @kernel_laws
 @given(st.data())
+def test_laurent_add_shifted_matches_elementwise_add(data):
+    # the engine's and compose's O(n) updates: exact zeros in hi must leave
+    # lo's coefficient as it is, everything else adds by one dom.add
+    dom = data.draw(st.sampled_from(KERNEL_DOMAINS))
+    scalars = st.lists(laurent_scalars(dom), max_size=8).map(
+        lambda xs: [_in_domain(dom, x) for x in xs])
+    lo, hi = data.draw(scalars), data.draw(scalars)
+    off = data.draw(st.integers(0, 10))
+    n = data.draw(st.integers(0, 20))
+    want = list(lo[:n]) + [dom.zero] * (n - len(lo[:n]))
+    for j, y in enumerate(hi):
+        if off + j < n:
+            want[off + j] = dom.add(want[off + j], y)
+    got = dom.add_shifted(lo, hi, off, n)
+    assert [_triple(x) for x in got] == [_triple(x) for x in want]
+    assert all(type(x.unit) is _unit_type(dom) for x in got)
+
+
+@kernel_laws
+@given(st.data())
 def test_laurent_make_matches_reference(data):
     dom = data.draw(st.sampled_from(KERNEL_DOMAINS))
     top = dom.base.q - 1

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from germ.errors import NoRootInField, NotCoprime, ValidationError
-from germ.fields import field_create, unity_relation
+from germ.fields import Field, field_create, unity_relation
 from germ.invariants import choice_bound, fiber, jays, profile
-from germ.normalizer import (bhard_extract, bottcher_product,
+from germ.normalizer import (_Engine, bhard_extract, bottcher_product,
                              check_nf_conditions, enumerate_normal_forms,
                              min_trunc, normal_form,
                              normalize_unit, random_conjugate,
@@ -281,3 +281,48 @@ def test_polynomiality_bound():
         nf, _ = normal_form(f, trunc=64)
         deg_x = 3 ** nf.m * (nf.d + len(nf.a) - 1)
         assert deg_x <= 3 ** nf.m * (nf.d + nf.r[0] * 3 // 2 + 1)
+
+
+def test_dense_normal_form_needs_half_the_field_products(monkeypatch):
+    # each chain coefficient sums its terms once, and the O(n) updates in
+    # the engine and in compose scale through conv's one-term path: the
+    # dense germ below made 6997 Field.mul calls when every chain
+    # coefficient was summed again once final and every update multiplied
+    # term by term
+    f = make_germ(F4, 1, 3, 128, random.Random(3))
+    calls = []
+    mul = Field.mul
+    monkeypatch.setattr(Field, "mul", lambda self, a, b:
+                        calls.append(a) or mul(self, a, b))
+    nf, wit = normal_form(f, trunc=128)
+    assert nf.dom is F4 and wit.verified_order == 128
+    assert len(calls) <= 6997 // 2
+
+
+def test_chain_sums_read_ahead_are_not_kept():
+    # a chain coefficient read before the phi's it sums are fixed must not
+    # leave its partial sum behind for the final value; phi_1 != 0, so the
+    # term b = 1 of every chain coefficient reads an unknown when read ahead
+    f = germ3([0, 0, 0, 1, 1, 2, 1, 0, 1], trunc=40)
+    prof = profile(f)
+    assert prof.r[0] == 1
+    g, _ = f.split()
+    unit = g.coeffs[g.ord():]
+    runs = []
+    for read_ahead in (False, True):
+        eng = _Engine(F3, prof, unit, 30, target_unit=unit[:2])
+        if read_ahead:
+            assign = eng._assign_phi
+
+            def read_all(eng=eng):
+                for n in range(eng.n_hi + 1):
+                    eng._rhs_known(n)
+
+            def assign_and_read_ahead(j, value, assign=assign):
+                assign(j, value)
+                read_all()
+            eng._assign_phi = assign_and_read_ahead
+            read_all()
+        runs.append(eng.solve().phis)
+    assert runs[0] == runs[1]
+    assert runs[0][1] != 0
