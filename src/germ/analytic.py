@@ -23,7 +23,8 @@ from .errors import (
     ValidationError,
 )
 from .invariants import InvariantProfile, profile
-from .normalizer import ConjugacyWitness, solve_prescribed, verify_conjugacy
+from .normalizer import (ConjugacyWitness, min_trunc, solve_prescribed,
+                         target_germ, verify_conjugacy)
 from .series import Germ1D, Series
 
 _INF = math.inf
@@ -330,8 +331,7 @@ def truncation_target(prof: InvariantProfile) -> int:
     """Largest kept x-order of the target truncation."""
     if prof.e < 1:
         raise ValidationError("truncation target needs e >= 1")
-    p = prof.p
-    return p ** prof.m * (prof.d + (prof.r[0] * p) // (p - 1) + 1) - 1
+    return min_trunc(prof) - 1
 
 
 def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
@@ -368,12 +368,8 @@ def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
     vo = verify_order
     if vo is None:
         vo = min(step * (d + n_hi), max(x_star + 2 * step, 48))
-    tgt = Series(dom, [dom.zero] * (x_star + 1), x_star)
-    for n, c in enumerate(target_unit):
-        idx = step * (d + n)
-        if idx <= x_star:
-            tgt.coeffs[idx] = c
-    report = verify_conjugacy(Germ1D(dom, src), Germ1D(dom, tgt.extended(vo)),
+    tgt = target_germ(dom, m, d, target_unit, x_star).series.extended(vo)
+    report = verify_conjugacy(Germ1D(dom, src), Germ1D(dom, tgt),
                               phi.shift(1), vo)
     if not report.ok:
         raise UnsolvableRoot(

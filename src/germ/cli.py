@@ -164,13 +164,9 @@ def cmd_infinity(args):
 def cmd_multinorm(args):
     f = jsonio.multigerm_from_dict(jsonio.load(args.germ))
     phi, verified = monomial_conjugacy(f, trunc=args.degree)
-    field = f.dom
-    comps = []
-    for s in phi:
-        comps.append({",".join(map(str, e)): list(field.to_vec(c))
-                      for e, c in sorted(s.terms.items())})
     out = {"schema": jsonio.SCHEMA, "command": "multinorm",
-           "verified_degree": verified, "phi": comps}
+           "verified_degree": verified,
+           "phi": [jsonio.multiseries_to_dict(f.dom, s) for s in phi]}
     _write_text(args, jsonio.dump(out))
     return 0
 

@@ -152,20 +152,25 @@ def _prime_factors(n):
     return out
 
 
+def _first_factor_degree(field, f, limit):
+    """Distinct-degree search for monic f over ``field`` (q elements): the
+    first delta <= limit with gcd(f, x**(q**delta) - x) != 1, else None."""
+    x = [0, 1]
+    y = x
+    for delta in range(1, limit + 1):
+        y = _poly_powmod(field, y, field.q, f)
+        if len(_poly_gcd(field, f, _poly_sub(field, y, x))) != 1:
+            return delta
+    return None
+
+
 def _is_irreducible(f, p):
     """Ben-Or's test for monic f over Z_p: a reducible f of degree n has a
     factor of degree d <= n/2, which divides x**(p**d) - x."""
     n = len(f) - 1
     if n <= 0:
         return False
-    fp = field_create(p, 1)
-    x = [0, 1]
-    h = x
-    for _ in range(n // 2):
-        h = _poly_powmod(fp, h, p, f)
-        if len(_poly_gcd(fp, f, _poly_sub(fp, h, x))) != 1:
-            return False
-    return True
+    return _first_factor_degree(field_create(p, 1), f, n // 2) is None
 
 
 @functools.cache
@@ -206,10 +211,10 @@ class Field:
     """Descriptor plus arithmetic kernel for F_{p^k}.
 
     All kernel methods act on integer codes.  Do not instantiate directly;
-    use :func:`field_create` (or :meth:`extension`) so descriptors stay
-    canonical.  Descriptors are immutable after construction and safe to
-    share; the lazily filled embedding cache only ever grows and its per-key
-    maps are pure, so concurrent readers cannot observe a wrong value.
+    use :func:`field_create` so descriptors stay canonical.  Descriptors are
+    immutable after construction and safe to share; the lazily filled
+    embedding cache only ever grows and its per-key maps are pure, so
+    concurrent readers cannot observe a wrong value.
     """
 
     def __init__(self, p, k, modulus, parent=None):
@@ -573,10 +578,6 @@ class Field:
 
     # -- tower ----------------------------------------------------------------
 
-    def extension(self, factor):
-        """The canonical field F_{p^(k*factor)}, reachable by embedding."""
-        return field_create(self.p, self.k * factor)
-
     def embed_map(self, other):
         """Cached code-level embedding self -> other; needs self.k | other.k."""
         if other is self:
@@ -753,15 +754,10 @@ def root_extension(field, codes):
     delta with gcd(x^(q^delta) - x, f) != 1.  ``field`` itself when delta
     is 1."""
     f = _poly_monic(field, _strip(list(codes)))
-    x = [0, 1]
-    y = x
-    for delta in range(1, len(f)):
-        y = _poly_powmod(field, y, field.q, f)
-        if len(_poly_gcd(field, f, _poly_sub(field, y, x))) > 1:
-            if delta == 1:
-                return field
-            return field_create(field.p, field.k * delta)
-    raise NoRootInField("no factor degree located (inconsistent input)")
+    delta = _first_factor_degree(field, f, len(f) - 1)
+    if delta is None:
+        raise NoRootInField("no factor degree located (inconsistent input)")
+    return field if delta == 1 else field_create(field.p, field.k * delta)
 
 
 # ---------------------------------------------------------------------------

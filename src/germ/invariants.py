@@ -3,9 +3,9 @@
 The profile of a germ f is the tuple (m, d, e, r): m counts Frobenius
 factors, d is the separable part of the vanishing order, e = nu_p(d), and
 r = (r_0 >= ... >= r_e = 0) records the first witness positions per
-p-valuation level.  On top of the profile sit the fiber-index map J, the
-fiber representatives N' and N'', and the composition / iteration / infinity
-predictions.
+p-valuation level.  On top of the profile sit the fiber-index map J, its
+table (one row per n, grouped by J into fibers), the fiber representatives
+N' and N'', and the composition / iteration / infinity predictions.
 """
 
 from __future__ import annotations
@@ -121,25 +121,76 @@ def preceq_key(p, e, n):
     return (min(nu_p(p, n), e), n)
 
 
+@dataclass
+class JTable:
+    """J over 0 <= n < n_max: one ``jays`` row per n, and the n grouped by
+    J into fibers (ascending)."""
+    profile: InvariantProfile
+    n_max: int  # exclusive
+    rows: list  # per n: (vals tuple of Fractions, J int)
+    fibers: dict  # J -> [n, ...]
+
+    @classmethod
+    def build(cls, prof, n_max):
+        rows = [jays(prof, n) for n in range(n_max)]
+        fibers = {}
+        for n, (_, j) in enumerate(rows):
+            fibers.setdefault(j, []).append(n)
+        return cls(prof, n_max, rows, fibers)
+
+    @classmethod
+    def through_fiber(cls, prof, j_hi):
+        """The table to n_hi = r_0 + j_hi.  It holds every fiber j <= j_hi
+        whole, since J(n) >= J_0(n) = n - r_0 for n > r_0."""
+        n_hi = prof.r[0] + j_hi
+        if jays(prof, n_hi + 1)[1] <= j_hi:
+            raise AssertionError("fiber member beyond working order")
+        return cls.build(prof, n_hi + 1)
+
+    def fiber(self, j):
+        """The n < n_max with J(n) = j, ascending."""
+        return self.fibers.get(j, [])
+
+    def n_doubleprime(self, j):
+        """N''(j): the preceq-minimum of the fiber of j."""
+        prof = self.profile
+        return min(self.fiber(j),
+                   key=lambda n: preceq_key(prof.p, prof.e, n))
+
+    def to_tsv(self):
+        e = self.profile.e
+        rset = set(self.profile.r)
+        header = ["n"] + [f"J{k}" for k in range(e + 1)] + ["J"]
+        lines = ["\t".join(header)]
+
+        def cell(value, marker):
+            if marker:
+                return "x"
+            if value == 0:
+                return ""
+            return str(value) if value.denominator != 1 else str(int(value))
+
+        for n in range(self.n_max):
+            vals, top = self.rows[n]
+            cells = [str(n)]
+            for k in range(e + 1):
+                cells.append(cell(vals[k], n == self.profile.r[k]))
+            if n in rset:
+                cells.append("x")
+            else:
+                cells.append(str(top) if top else "")
+            lines.append("\t".join(cells))
+        return "\n".join(lines) + "\n"
+
+
 def fiber(prof: InvariantProfile, j: int):
-    """All n with J(n) = j, ascending.  For j >= 1 the fiber is a subset of
-    the candidates r_k + p^k j; j = 0 is the finite base set."""
-    p = prof.p
-    if j == 0:
-        out = {0}
-        for n in range(1, prof.r[0] + 1):
-            u = nu_p(p, n)
-            if u < prof.e and n <= prof.r[int(u)]:
-                out.add(n)
-        return sorted(out)
-    cands = {prof.r[k] + p ** k * j for k in range(prof.e + 1)}
-    return sorted(n for n in cands if jays(prof, n)[1] == j)
+    """All n with J(n) = j, ascending."""
+    return JTable.through_fiber(prof, j).fiber(j)
 
 
 def n_doubleprime(prof: InvariantProfile, j: int) -> int:
     """The preceq-minimum of the fiber of j."""
-    members = fiber(prof, j)
-    return min(members, key=lambda n: preceq_key(prof.p, prof.e, n))
+    return JTable.through_fiber(prof, j).n_doubleprime(j)
 
 
 def stable_threshold(prof: InvariantProfile) -> Fraction:
@@ -257,44 +308,3 @@ def germ_at_infinity(coeffs, trunc=None) -> Germ1D:
         raise AssertionError(
             f"r_0 = {prof.r[0]} exceeds d = {prof.d} for a polynomial germ")
     return germ
-
-
-# ---------------------------------------------------------------------------
-# the J table
-# ---------------------------------------------------------------------------
-
-@dataclass
-class JTable:
-    profile: InvariantProfile
-    n_max: int  # exclusive
-    rows: list  # per n: (vals tuple of Fractions, J int)
-
-    @classmethod
-    def build(cls, prof, n_max):
-        rows = [jays(prof, n) for n in range(n_max)]
-        return cls(prof, n_max, rows)
-
-    def to_tsv(self):
-        e = self.profile.e
-        rset = set(self.profile.r)
-        header = ["n"] + [f"J{k}" for k in range(e + 1)] + ["J"]
-        lines = ["\t".join(header)]
-
-        def cell(value, marker):
-            if marker:
-                return "x"
-            if value == 0:
-                return ""
-            return str(value) if value.denominator != 1 else str(int(value))
-
-        for n in range(self.n_max):
-            vals, top = self.rows[n]
-            cells = [str(n)]
-            for k in range(e + 1):
-                cells.append(cell(vals[k], n == self.profile.r[k]))
-            if n in rset:
-                cells.append("x")
-            else:
-                cells.append(str(top) if top else "")
-            lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"

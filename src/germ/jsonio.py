@@ -11,15 +11,14 @@ import json
 
 from .analytic import LaurentDomain, LaurentScalar
 from .errors import ParseError, ValidationError
-from .fields import field_create
+from .fields import Field, field_create
 from .multidim import MultiGerm, MultiSeries
 from .series import Germ1D, Series
 
 SCHEMA = "germ/1"
 
 
-def field_to_dict(field):
-    return {"p": field.p, "k": field.k, "modulus": list(field.modulus)}
+field_to_dict = Field.to_dict
 
 
 def _is_int(x):
@@ -142,16 +141,18 @@ def laurent_germ_from_dict(d):
         raise ValidationError(str(exc)) from exc
 
 
+def multiseries_to_dict(field, s: MultiSeries):
+    """{"e1,...,eN": coefficient vector} over the nonzero terms of s."""
+    return {",".join(map(str, e)): list(field.to_vec(c))
+            for e, c in sorted(s.terms.items())}
+
+
 def multigerm_to_dict(f: MultiGerm):
     field = f.dom
-    eps = []
-    for s in f.eps:
-        eps.append({",".join(map(str, e)): list(field.to_vec(c))
-                    for e, c in sorted(s.terms.items())})
     return {"schema": SCHEMA, "N": f.nvars, "field": field_to_dict(field),
             "C": [list(field.to_vec(c)) for c in f.cvec],
-            "D": [list(row) for row in f.dmat],
-            "trunc": f.trunc, "eps": eps}
+            "D": [list(row) for row in f.dmat], "trunc": f.trunc,
+            "eps": [multiseries_to_dict(field, s) for s in f.eps]}
 
 
 def multigerm_from_dict(d):

@@ -5,7 +5,11 @@ conjugacy relation between f and a candidate target splits per y-degree n
 into one coefficient equation.  Equations are solved fiber by fiber along
 the index map J: the fiber of j fixes the witness coefficient phi_j (from
 the chosen representative N(j), whose target coefficient is set to zero)
-and the target coefficients at the remaining fiber members.
+and the target coefficients at the remaining fiber members.  The fibers
+and representatives come from one J table per solve, built once to the
+working order n_hi = r_0 + j_hi (``invariants.JTable``); ``normal_form``
+reuses it across extension restarts, since the profile is the same in
+every field.
 
 The unknown phi_j enters the degree-n equation only through an additive
 polynomial sum_k R_k z^(p^(m+k)) - L z, where the R_k come from the
@@ -56,10 +60,9 @@ from .fields import (Field, FieldElement, additive_roots, poly_roots,
                      root_extension)
 from .invariants import (
     InvariantProfile,
+    JTable,
     choice_bound,
-    fiber,
     jays,
-    n_doubleprime,
     n_prime,
     profile,
 )
@@ -90,14 +93,7 @@ class NormalForm:
         return self.a[self.r[0]] if self.r[0] < len(self.a) else self.dom.zero
 
     def germ(self, trunc):
-        dom = self.dom
-        step = dom.p ** self.m
-        s = Series.zeros(dom, trunc)
-        for n, c in enumerate(self.a):
-            idx = step * (self.d + n)
-            if idx <= trunc:
-                s.coeffs[idx] = c
-        return Germ1D(dom, s)
+        return target_germ(self.dom, self.m, self.d, self.a, trunc)
 
     def a_dict(self):
         return {n: c for n, c in enumerate(self.a) if not self.dom.is_zero(c)}
@@ -121,20 +117,38 @@ class ConjReport:
     first_disagreement: int | None
 
 
+def target_germ(dom, m, d, a, trunc):
+    """The germ (x^(p^m))^d * a(x^(p^m)) to order ``trunc``, for the raw
+    coefficients a_0, a_1, ... of a."""
+    step = dom.p ** m
+    s = Series.zeros(dom, trunc)
+    for n, c in enumerate(a):
+        idx = step * (d + n)
+        if idx <= trunc:
+            s.coeffs[idx] = c
+    return Germ1D(dom, s)
+
+
 # ---------------------------------------------------------------------------
 # the solver engine
 # ---------------------------------------------------------------------------
 
-def _rule_n(prof, rule, table, j):
-    """N(j) under the named representative rule; a "custom" table entry
-    overrides N''(j)."""
+def _representative(fibers, rule, nj_table, j):
+    """N(j) under the named representative rule, checked against the fiber
+    of j in the J table ``fibers``; a "custom" entry overrides N''(j)."""
     if rule == "nprime":
-        return n_prime(prof, j)
-    if rule == "custom" and table and j in table:
-        return table[j]
-    if rule not in ("ndoubleprime", "custom"):
+        n = n_prime(fibers.profile, j)
+    elif rule == "custom" and nj_table and j in nj_table:
+        n = nj_table[j]
+    elif rule in ("ndoubleprime", "custom"):
+        n = fibers.n_doubleprime(j)
+    else:
         raise ValidationError(f"unknown N(j) rule {rule!r}")
-    return n_doubleprime(prof, j)
+    members = fibers.fiber(j)
+    if n not in members:
+        raise ValidationError(
+            f"N({j}) = {n} is not in the fiber {members}")
+    return n
 
 
 class _Engine:
@@ -143,14 +157,16 @@ class _Engine:
 
     def __init__(self, dom, prof, eps_unit, j_hi, *, nj_rule="ndoubleprime",
                  nj_table=None, target_unit=None, allow_extension=True,
-                 prefix=()):
+                 prefix=(), fibers=None):
         self.dom = dom
         self.p = dom.p
-        self.prof = prof
         self.m, self.d, self.e, self.r = prof.m, prof.d, prof.e, prof.r
         self.j_hi = j_hi
         self.n_hi = prof.r[0] + j_hi
         n_hi = self.n_hi
+        if fibers is None:
+            fibers = JTable.through_fiber(prof, j_hi)
+        self.fibers = fibers
         self.eps = list(eps_unit[: n_hi + 1])
         self.eps += [dom.zero] * (n_hi + 1 - len(self.eps))
         self.prescribed = target_unit is not None
@@ -220,27 +236,18 @@ class _Engine:
             self.wlist.append(out)
         return self.wlist[h]
 
-    def _lhs_pieces(self, n, j):
-        """(known part of lhs_n, coefficient of the unknown phi_j in lhs_n)."""
-        dom = self.dom
-        zl = dom.zero
-        if self.d * j <= n:
-            zl = self._W(j)[n]
-        for h in range(j + 1, n // self.d + 1):
-            if not dom.is_zero(self._W(h)[n]):
-                raise UnassignedDependency(
-                    f"lhs at degree {n} touches phi_{h} > phi_{j}")
-        return self.lhs_acc[n], zl
-
-    def _lhs_full(self, n):
-        """lhs_n with every phi up to the frontier assigned; asserts that no
-        later phi can enter."""
-        dom = self.dom
-        for h in range(self.frontier + 1, n // self.d + 1):
-            if not dom.is_zero(self._W(h)[n]):
+    def _lhs(self, n, last):
+        """lhs_n from the assigned phi's; asserts that no phi_h with
+        h > ``last`` enters it."""
+        for h in range(last + 1, n // self.d + 1):
+            if not self.dom.is_zero(self._W(h)[n]):
                 raise UnassignedDependency(
                     f"lhs at degree {n} touches unassigned phi_{h}")
         return self.lhs_acc[n]
+
+    def _unknown_coef(self, n, j):
+        """The coefficient W_j[n] of the unknown phi_j in lhs_n."""
+        return self._W(j)[n] if self.d * j <= n else self.dom.zero
 
     # -- right-hand side ---------------------------------------------------------
 
@@ -436,22 +443,12 @@ class _Engine:
 
     # -- driving ----------------------------------------------------------------------
 
-    def _representative(self, j, members):
-        n = _rule_n(self.prof, self.nj_rule, self.nj_table, j)
-        if n not in members:
-            raise ValidationError(
-                f"N({j}) = {n} is not in the fiber {members}")
-        return n
-
     def solve(self):
         if not self.prescribed:
-            for n in fiber(self.prof, 0):
-                if n <= self.n_hi:
-                    self._register_eps(n, self.eps[n])
+            for n in self.fibers.fiber(0):
+                self._register_eps(n, self.eps[n])
         for j in range(1, self.j_hi + 1):
-            members = fiber(self.prof, j)
-            if members and members[-1] > self.n_hi:
-                raise AssertionError("fiber member beyond working order")
+            members = self.fibers.fiber(j)
             if self.prescribed:
                 self._solve_fiber_prescribed(j, members)
             else:
@@ -460,12 +457,10 @@ class _Engine:
 
     def _solve_fiber_normal(self, j, members):
         dom = self.dom
-        nstar = self._representative(j, members)
-        lhs0, zl = self._lhs_pieces(nstar, j)
-        rhs0 = self._rhs_known(nstar)
-        slots = self._slots(nstar, j)
-        q = dom.sub(lhs0, rhs0)
-        cands = self._unknown_candidates(q, slots, zl, nstar)
+        nstar = _representative(self.fibers, self.nj_rule, self.nj_table, j)
+        q = dom.sub(self._lhs(nstar, j), self._rhs_known(nstar))
+        cands = self._unknown_candidates(q, self._slots(nstar, j),
+                                         self._unknown_coef(nstar, j), nstar)
         if not cands:
             raise NoRootInField(
                 f"no solution for phi_{j} in the current field")
@@ -476,12 +471,12 @@ class _Engine:
         for n in members:
             if n == nstar:
                 continue
-            val = dom.sub(self._lhs_full(n), self._rhs_known(n))
+            val = dom.sub(self._lhs(n, j), self._rhs_known(n))
             self._register_eps(n, val)
         # full re-evaluation of the representative equation, now that the
         # unknown is fixed: catches any slip in the slot bookkeeping
         if not dom.is_zero_to_prec(
-                dom.sub(self._lhs_full(nstar), self._rhs_known(nstar))):
+                dom.sub(self._lhs(nstar, j), self._rhs_known(nstar))):
             raise UnassignedDependency(
                 f"equation at degree {nstar} fails after solving fiber {j}")
 
@@ -489,8 +484,8 @@ class _Engine:
         dom = self.dom
         pieces = []
         for n in members:
-            lhs0, zl = self._lhs_pieces(n, j)
-            pieces.append((n, lhs0, zl, self._rhs_known(n), self._slots(n, j)))
+            pieces.append((n, self._lhs(n, j), self._unknown_coef(n, j),
+                           self._rhs_known(n), self._slots(n, j)))
         # prefer equations with the simplest dependence on the unknown; fall
         # through when a member's additive equation is not solvable here
         order = sorted((pc for pc in pieces
@@ -613,21 +608,24 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
         raise InsufficientPrecision(
             f"normal_form needs truncation >= {min_trunc(prof)}",
             needed=min_trunc(prof))
+    j_hi = trunc - 1
+    # an embedding keeps the zero pattern, so prof and its fibers hold in
+    # every field of the extension chain
+    fibers = JTable.through_fiber(prof, j_hi)
     if nj_table is not None:
         choice = "custom"
         for j, n in nj_table.items():
-            if jays(prof, n)[1] != j:
+            # entries past the table's fibers are checked on J itself
+            if n not in fibers.fiber(j) and jays(prof, n)[1] != j:
                 raise ValidationError(f"custom table: J({n}) != {j}")
-    j_hi = trunc - 1
     attempts = 0
     f0_base, lam_base, base_field = f0, lam, f0.dom
     extensions = []
     while True:
-        # an embedding keeps the zero pattern, so prof holds in every field
         g, _ = f0.split()
         eng = _Engine(f0.dom, prof, g.coeffs[g.ord():], j_hi, nj_rule=choice,
                       nj_table=nj_table, allow_extension=allow_extension,
-                      prefix=_prefix)
+                      prefix=_prefix, fibers=fibers)
         try:
             eng.solve()
             break
@@ -729,13 +727,12 @@ def check_nf_conditions(nf: NormalForm):
     prof = InvariantProfile(p, nf.m, nf.d, nf.e, nf.r)
     ok = True
     if nf.e >= 1:
-        bound = choice_bound(prof)
-        j = 1
-        while j < bound:
-            n = _rule_n(prof, nf.choice, nf.nj_table, j)
+        j_top = math.ceil(choice_bound(prof)) - 1   # every j < r_0/(p-1)
+        fibers = JTable.through_fiber(prof, j_top)
+        for j in range(1, j_top + 1):
+            n = _representative(fibers, nf.choice, nf.nj_table, j)
             if not dom.is_zero(get(n)):
                 ok = False
-            j += 1
     out["iv_representatives_zero"] = ok
     if nf.e == 0:
         out["degree_bound"] = len(a) == 1 and out["i_unit"]

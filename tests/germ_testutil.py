@@ -140,6 +140,48 @@ def laurent_mul_reference(dom, x, y):
     return laurent_mk_reference(dom, x.val + y.val, out, prec)
 
 
+def candidate_fiber(prof, j):
+    """Reference for the J table's fibers: all n with J(n) = j, ascending.
+    For j >= 1 every member is one of the candidates r_k + p^k j; j = 0 is
+    the finite base set of n <= r_0 with nu_p(n) = u < e and n <= r_u."""
+    from germ.invariants import jays
+    from germ.series import nu_p
+    p = prof.p
+    if j == 0:
+        out = {0}
+        for n in range(1, prof.r[0] + 1):
+            u = nu_p(p, n)
+            if u < prof.e and n <= prof.r[int(u)]:
+                out.add(n)
+        return sorted(out)
+    cands = {prof.r[k] + p ** k * j for k in range(prof.e + 1)}
+    return sorted(n for n in cands if jays(prof, n)[1] == j)
+
+
+def random_profile(rng, primes=(2, 3, 5), e_range=(1, 4)):
+    """A random valid profile: r_0 separable, and each later level either
+    repeats the previous value or drops to a fresh witness whose p-adic
+    valuation equals its level."""
+    from germ.invariants import InvariantProfile
+    p = rng.choice(primes)
+    e = rng.randrange(*e_range)
+    d = p ** e * rng.choice([1, 2, 4])
+    while d % p ** (e + 1) == 0:
+        d //= p
+    r = [1 + p * rng.randrange(0, 8)] if e else []
+    for u in range(1, e):
+        prev = r[-1]
+        cands = [p ** u * c for c in range(1, prev // p ** u + 1)
+                 if c % p and p ** u * c < prev]
+        if cands and rng.random() < 0.7:
+            r.append(rng.choice(cands))
+        else:
+            r.append(prev)
+    r.append(0)
+    m = rng.randrange(2)
+    return InvariantProfile(p, m if d * p ** m >= 2 else 1, d, e, tuple(r))
+
+
 def standard_fields():
     return field_create(3, 1), field_create(3, 2), field_create(2, 2)
 

@@ -11,7 +11,7 @@ from germ.invariants import (InvariantProfile, JTable, choice_bound,
                              jays, n_doubleprime, n_prime, preceq_key,
                              profile, stable_threshold)
 from germ.series import Germ1D, Series
-from germ_testutil import make_germ
+from germ_testutil import candidate_fiber, make_germ, random_profile
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -85,28 +85,6 @@ def test_n_doubleprime():
             assert n_doubleprime(pr, j) == j + 19
 
 
-def random_profile(rng):
-    """A random valid profile: r_0 separable, and each later level either
-    repeats the previous value or drops to a fresh witness whose p-adic
-    valuation equals its level."""
-    p = rng.choice([2, 3, 5])
-    e = rng.randrange(1, 4)
-    d = p ** e * rng.choice([1, 2, 4])
-    while d % p ** (e + 1) == 0:
-        d //= p
-    r = [1 + p * rng.randrange(0, 8)]
-    for u in range(1, e):
-        prev = r[-1]
-        cands = [p ** u * c for c in range(1, prev // p ** u + 1)
-                 if c % p and p ** u * c < prev]
-        if cands and rng.random() < 0.7:
-            r.append(rng.choice(cands))
-        else:
-            r.append(prev)
-    r.append(0)
-    return InvariantProfile(p, rng.randrange(2), d, e, tuple(r))
-
-
 def test_representatives_on_random_profiles():
     rng = random.Random(4)
     for _ in range(25):
@@ -115,6 +93,25 @@ def test_representatives_on_random_profiles():
             assert jays(pr, n_prime(pr, j))[1] == j
             if j:
                 assert jays(pr, n_doubleprime(pr, j))[1] == j
+
+
+def test_fiber_table_matches_candidate_sets():
+    # the J table groups every n <= r_0 + j_hi by J; the reference builds
+    # each fiber from its candidates r_k + p^k j (and the j = 0 base set)
+    rng = random.Random(11)
+    j_hi = 60
+    for _ in range(400):
+        pr = random_profile(rng, primes=(2, 3, 5, 7), e_range=(0, 4))
+        table = JTable.through_fiber(pr, j_hi)
+        assert table.n_max == pr.r[0] + j_hi + 1
+        for j in range(j_hi + 1):
+            members = candidate_fiber(pr, j)
+            assert table.fiber(j) == members, (pr, j)
+            if j:
+                assert table.n_doubleprime(j) == min(
+                    members, key=lambda n: preceq_key(pr.p, pr.e, n))
+        j = rng.randrange(j_hi + 1)
+        assert fiber(pr, j) == table.fiber(j)
 
 
 def test_stable_threshold():

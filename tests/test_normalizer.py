@@ -1,6 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
+
+import germ.invariants
+import germ.normalizer
 
 from germ.errors import NoRootInField, NotCoprime, ValidationError
 from germ.fields import Field, field_create, unity_relation
@@ -9,7 +13,7 @@ from germ.normalizer import (_Engine, bhard_extract, bottcher_product,
                              check_nf_conditions, enumerate_normal_forms,
                              min_trunc, normal_form,
                              normalize_unit, random_conjugate,
-                             verify_conjugacy)
+                             solve_prescribed, verify_conjugacy)
 from germ.series import Germ1D, Series, revert
 from germ_testutil import lhs_rhs_coeffs, make_germ
 
@@ -326,3 +330,46 @@ def test_chain_sums_read_ahead_are_not_kept():
         runs.append(eng.solve().phis)
     assert runs[0] == runs[1]
     assert runs[0][1] != 0
+
+
+def test_one_j_table_per_solve(monkeypatch):
+    # one solve reads J from one table: one jays call per n <= n_hi, plus
+    # the guard row n_hi + 1, however many fibers read a member and however
+    # often normal_form restarts up the field tower
+    calls = Counter()
+    jays = germ.invariants.jays
+
+    def counted(prof, n):
+        calls[n] += 1
+        return jays(prof, n)
+
+    def refused(*args):
+        raise AssertionError("the engine reads fibers from its J table")
+
+    monkeypatch.setattr(germ.invariants, "jays", counted)
+    monkeypatch.setattr(germ.normalizer, "jays", counted)
+    monkeypatch.setattr(germ.invariants, "fiber", refused)
+    monkeypatch.setattr(germ.invariants, "n_doubleprime", refused)
+
+    def check(r0, j_hi):
+        assert sorted(calls) == list(range(r0 + j_hi + 2))
+        assert set(calls.values()) == {1}
+        calls.clear()
+
+    # x^3 + x^6 over F_3 restarts three times, up to F_{3^27}
+    co = [0] * 19
+    co[3] = co[6] = 1
+    nf, wit = normal_form(Germ1D(F3, Series(F3, co, 18)), trunc=18)
+    assert [t["k"] for t in wit.transcript if t["kind"] == "extension"] == [3, 9, 27]
+    check(nf.r[0], 17)
+    for choice in ("ndoubleprime", "nprime"):
+        nf, _ = normal_form(germ3([0, 0, 0, 1, 0, 0, 2, 1, 1, 2, 1, 1, 2],
+                                  trunc=64), choice=choice, trunc=64)
+        assert nf.r == (4, 0)
+        check(4, 63)
+    f = germ3([0, 0, 0, 1, 1, 2, 1, 0, 1], trunc=40)
+    prof = profile(f)
+    g, _ = f.split()
+    unit = g.coeffs[g.ord():]
+    solve_prescribed(F3, prof, unit, 30, unit[:2])
+    check(prof.r[0], 30)
