@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import (
     DivisionByZero,
+    OracleFailure,
     PrecisionExhausted,
     UnsolvableRoot,
     ValidationError,
@@ -252,16 +253,12 @@ class LaurentDomain:
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
-    def pow(self, x, e):
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
+    def additive_roots(self, terms, q):
+        """Additive equations of more than one term are not solved over the
+        imperfect Laurent ring: UnsolvableRoot."""
+        raise UnsolvableRoot(
+            f"additive equation with exponents {sorted(s for s, _ in terms)} "
+            "is not solvable over the Laurent coefficient ring")
 
     # -- Frobenius ---------------------------------------------------------------
 
@@ -372,7 +369,7 @@ def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
     report = verify_conjugacy(Germ1D(dom, src), Germ1D(dom, tgt),
                               phi.shift(1), vo)
     if not report.ok:
-        raise UnsolvableRoot(
+        raise OracleFailure(
             f"prescribed-target witness fails at degree "
             f"{report.first_disagreement}")
     return ConjugacyWitness(phi, dom.one, report.checked_order, transcript)

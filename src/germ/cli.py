@@ -62,7 +62,7 @@ def cmd_invariants(args):
 def cmd_normalize(args):
     f = jsonio.germ_from_dict(jsonio.load(args.germ))
     nf, wit = normal_form(f, choice=args.choice, trunc=args.order,
-                          seed=args.seed, allow_extension=args.allow_extension)
+                          allow_extension=args.allow_extension)
     dom = nf.dom
     out = {
         "schema": jsonio.SCHEMA, "command": "normalize", "seed": args.seed,

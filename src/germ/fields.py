@@ -576,6 +576,18 @@ class Field:
     def elements(self):
         return range(self.q)
 
+    def additive_roots(self, terms, q):
+        """The solutions of sum(c * z**(p**s)) = q (see the module function
+        :func:`additive_roots`); NeedExtension when there is none."""
+        roots = additive_roots(self, terms, q)
+        if roots:
+            return roots
+        coeffs = [0] * (self.p ** max(s for s, _ in terms) + 1)
+        coeffs[0] = self.neg(q)
+        for s, c in terms:
+            coeffs[self.p ** s] = self.add(coeffs[self.p ** s], c)
+        raise NeedExtension(root_extension(self, coeffs))
+
     # -- tower ----------------------------------------------------------------
 
     def embed_map(self, other):
@@ -719,33 +731,65 @@ def _field_roots(field, coeffs, rng):
     return roots
 
 
-def poly_roots(coeffs, allow_extension=False, seed=0):
+class NeedExtension(Exception):
+    """A solve has no root in its field; ``field`` is the smallest
+    extension that holds one."""
+
+    def __init__(self, field):
+        super().__init__(f"needs F_{field.p}^{field.k}")
+        self.field = field
+
+
+def climb(base, solve, allow_extension=True):
+    """Run ``solve(field, emb)`` over ``base``, and again over each field a
+    NeedExtension from it names; ``emb`` maps codes of ``base`` into
+    ``field`` by the cached one-hop embedding, so values carried over stay
+    coherent across restarts (a stepwise chain may pick different roots).
+
+    Returns (result, the fields climbed to, in order).  Every hop must make
+    the degree k larger and ``field_create`` refuses fields above FIELD_CAP,
+    so the climb ends.  Without ``allow_extension``, and on a hop that does
+    not grow the field, the NeedExtension becomes NoRootInField.
+    """
+    field, fields = base, []
+    while True:
+        try:
+            return solve(field, base.embed_map(field)), fields
+        except NeedExtension as ex:
+            if not allow_extension or ex.field.k <= field.k:
+                raise NoRootInField("no root in the current field") from None
+            field = ex.field
+            fields.append(field)
+
+
+def field_roots(field, codes):
+    """The distinct roots in ``field`` of the polynomial with code
+    coefficients ``codes`` (low degree first), sorted by coefficient vector;
+    NeedExtension when there is none."""
+    roots = _field_roots(field, codes, random.Random(0))
+    if not roots:
+        raise NeedExtension(root_extension(field, codes))
+    return sorted(roots, key=field.to_vec)
+
+
+def poly_roots(coeffs, allow_extension=False):
     """All roots of the polynomial with the given FieldElement coefficients.
 
-    Returns (roots, field).  With ``allow_extension`` the minimal extension
-    containing a root is constructed when none exists in the current field;
-    the embedded roots and the new descriptor are returned.  The internal
-    equal-degree splitting is randomized but fully determined by ``seed``.
+    Returns (roots, field), the roots sorted by coefficient vector.  With
+    ``allow_extension`` they come from the smallest extension holding one
+    when the current field holds none; otherwise that raises NoRootInField.
     """
     coeffs = list(coeffs)
     if not coeffs or all(c.code == 0 for c in coeffs):
         raise ValueError("not all coefficients may be zero")
-    field = max((c.field for c in coeffs), key=lambda f: f.k)
-    codes = [c.embed(field).code for c in coeffs]
-    rng = random.Random(seed)
-    roots = _field_roots(field, codes, rng)
-    f = _strip(list(codes))
-    if roots or not allow_extension:
-        if not roots and len(f) > 1:
-            raise NoRootInField("no root in the current field")
-        return sorted((FieldElement(field, r) for r in roots),
-                      key=lambda e: e.coeffs), field
-    big = root_extension(field, f)
-    emb = field.embed_map(big)
-    codes_up = [emb(c) for c in codes]
-    roots_up = _field_roots(big, codes_up, random.Random(seed))
-    return sorted((FieldElement(big, r) for r in roots_up),
-                  key=lambda e: e.coeffs), big
+    base = max((c.field for c in coeffs), key=lambda f: f.k)
+    codes = [c.embed(base).code for c in coeffs]
+
+    def solve(field, emb):
+        return field, field_roots(field, [emb(c) for c in codes])
+
+    (field, roots), _ = climb(base, solve, allow_extension)
+    return [FieldElement(field, r) for r in roots], field
 
 
 def root_extension(field, codes):
@@ -767,7 +811,7 @@ def root_extension(field, codes):
 def additive_roots(field, terms, q):
     """All z in ``field`` with sum(c * z**(p**s)) = q, for the (s, c) code
     pairs in ``terms``; codes sorted by coefficient vector, the order
-    :func:`poly_roots` returns.  Empty when the field holds no solution.
+    :func:`field_roots` returns.  Empty when the field holds no solution.
 
     The left side is a linearized polynomial, so z -> sum(c * z**(p**s)) is
     F_p-linear: the solutions are one particular solution plus the kernel of

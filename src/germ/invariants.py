@@ -183,16 +183,6 @@ class JTable:
         return "\n".join(lines) + "\n"
 
 
-def fiber(prof: InvariantProfile, j: int):
-    """All n with J(n) = j, ascending."""
-    return JTable.through_fiber(prof, j).fiber(j)
-
-
-def n_doubleprime(prof: InvariantProfile, j: int) -> int:
-    """The preceq-minimum of the fiber of j."""
-    return JTable.through_fiber(prof, j).n_doubleprime(j)
-
-
 def stable_threshold(prof: InvariantProfile) -> Fraction:
     """max_{k>=1} (r_0 - r_k)/(p^k - 1); fibers above it are singletons."""
     if prof.e < 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import (DetDivisibleByP, ScalingFailure, SingularMatrix,
                      ValidationError, WitnessFailure)
-from .fields import FieldElement, poly_roots
+from .fields import climb, field_roots
 from .series import binomial_pow
 
 
@@ -394,28 +394,18 @@ def diagonal_scaling(cvec, dmat, field):
     adj = [[int(det * v) for v in row] for row in inv]  # det * inverse
     det = int(det)
     q_abs, sign = abs(det), (1 if det > 0 else -1)
-    # any extension restarts the whole solve in the bigger field, so every
-    # derived value reaches it through the single cached one-hop embedding
-    cur = field
-    while True:
-        emb = field.embed_map(cur)
+
+    def solve(cur, emb):
         binv = [cur.inv(emb(c)) for c in cvec]
         rhos = []
-        grew = None
         for l in range(n):
-            target = cur.pow(binv[l], sign)
             coeffs = [cur.zero] * (q_abs + 1)
-            coeffs[0] = cur.neg(target)
+            coeffs[0] = cur.neg(cur.pow(binv[l], sign))
             coeffs[q_abs] = cur.one
-            roots, new_field = poly_roots(
-                [FieldElement(cur, c) for c in coeffs], allow_extension=True)
-            if new_field is not cur:
-                grew = new_field
-                break
-            rhos.append(roots[0].code)
-        if grew is None:
-            break
-        cur = grew
+            rhos.append(field_roots(cur, coeffs)[0])
+        return cur, binv, rhos
+
+    (cur, binv, rhos), _ = climb(field, solve)
     delta = []
     for i in range(n):
         acc = cur.one

@@ -16,9 +16,9 @@ polynomial sum_k R_k z^(p^(m+k)) - L z, where the R_k come from the
 invariant positions r_k and L is the (exactly computable) linear
 coefficient on the left-hand side.  That map is F_p-linear, so over a
 finite field phi_j solves a k x k linear system over F_p; only when it has
-no solution is the minimal field extension located, and the solve restarts
-there.  Everything else is evaluated numerically from incrementally
-maintained truncated series:
+no solution is the minimal field extension located (``NeedExtension``),
+and ``fields.climb`` restarts the solve there.  Everything else is
+evaluated numerically from incrementally maintained truncated series:
 
 - the left side is linear in the phi's: L_partial = sum phi_h (1+eps) w^h
   with w = y^d (1+eps), extended one product a time;
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     InsufficientPrecision,
-    NoRootInField,
     NotCoprime,
     OracleFailure,
     ShapeViolation,
@@ -56,8 +55,7 @@ from .errors import (
     UnsolvableRoot,
     ValidationError,
 )
-from .fields import (Field, FieldElement, additive_roots, poly_roots,
-                     root_extension)
+from .fields import climb, field_roots
 from .invariants import (
     InvariantProfile,
     JTable,
@@ -67,11 +65,6 @@ from .invariants import (
     profile,
 )
 from .series import Germ1D, Series, binomial_pow, nu_p, revert
-
-
-class _NeedExtension(Exception):
-    def __init__(self, new_field):
-        self.field = new_field
 
 
 @dataclass
@@ -156,8 +149,7 @@ class _Engine:
     prescribed target; otherwise it chooses the normal form's coefficients."""
 
     def __init__(self, dom, prof, eps_unit, j_hi, *, nj_rule="ndoubleprime",
-                 nj_table=None, target_unit=None, allow_extension=True,
-                 prefix=(), fibers=None):
+                 nj_table=None, target_unit=None, prefix=(), fibers=None):
         self.dom = dom
         self.p = dom.p
         self.m, self.d, self.e, self.r = prof.m, prof.d, prof.e, prof.r
@@ -172,7 +164,6 @@ class _Engine:
         self.prescribed = target_unit is not None
         self.nj_rule = nj_rule
         self.nj_table = nj_table
-        self.allow_extension = allow_extension
         self.prefix = tuple(prefix)
         self.choice_points = []
         self.transcript = []
@@ -372,7 +363,8 @@ class _Engine:
     # -- the unknown's additive equation ------------------------------------------
 
     def _unknown_candidates(self, q, slots, zl, n):
-        """Solutions z of sum coeff * z^(p^s) - zl*z = q, deterministic order."""
+        """Solutions z of sum coeff * z^(p^s) - zl*z = q, deterministic order;
+        with none, the domain's ``additive_roots`` raises."""
         dom = self.dom
         exps = {}
         for s, coeff in slots:
@@ -387,21 +379,7 @@ class _Engine:
         if len(exps) == 1:
             (s, c), = exps.items()
             return [dom.frob_root(dom.mul(q, dom.inv(c)), s)]
-        if not isinstance(dom, Field):
-            raise UnsolvableRoot(
-                f"additive equation with exponents {sorted(exps)} at degree "
-                f"{n} is not solvable over the Laurent coefficient ring")
-        roots = additive_roots(dom, exps.items(), q)
-        if roots:
-            return roots
-        if not self.allow_extension:
-            raise NoRootInField("no root in the current field")
-        # normal_form restarts in the new field, so its roots are not needed
-        coeffs = [dom.zero] * (self.p ** max(exps) + 1)
-        coeffs[0] = dom.neg(q)
-        for s, c in exps.items():
-            coeffs[self.p ** s] = c
-        raise _NeedExtension(root_extension(dom, coeffs))
+        return dom.additive_roots(exps.items(), q)
 
     # -- assignment ------------------------------------------------------------------
 
@@ -461,9 +439,6 @@ class _Engine:
         q = dom.sub(self._lhs(nstar, j), self._rhs_known(nstar))
         cands = self._unknown_candidates(q, self._slots(nstar, j),
                                          self._unknown_coef(nstar, j), nstar)
-        if not cands:
-            raise NoRootInField(
-                f"no solution for phi_{j} in the current field")
         idx = self._take_choice(len(cands))
         self._register_eps(nstar, dom.zero)
         self.transcript[-1]["roots_considered"] = len(cands)
@@ -557,27 +532,18 @@ def normalize_unit(f: Germ1D):
     lead = s.coeffs[bigd]
     if dom.is_zero(dom.sub(lead, dom.one)):
         return f, dom.one, dom
-    if bigd == 2:  # z^1 = lead^-1 directly
-        lam_codes = [dom.inv(lead)]
-        new_field = dom
-    else:
-        coeffs = [dom.zero] * bigd
-        coeffs[0] = dom.neg(dom.inv(lead))
-        coeffs[bigd - 1] = dom.one
-        wrapped = [FieldElement(dom, c) for c in coeffs]
-        roots, new_field = poly_roots(wrapped, allow_extension=True)
-        lam_codes = [rt.code for rt in roots]
-    lam = lam_codes[0]
-    if new_field is not dom:
-        emb = dom.embed_map(new_field)
-        coeffs = [emb(c) for c in s.coeffs]
-        dom = new_field
-    else:
-        coeffs = list(s.coeffs)
+
+    def solve(fld, emb):
+        coeffs = [fld.zero] * bigd
+        coeffs[0] = fld.neg(fld.inv(emb(lead)))
+        coeffs[bigd - 1] = fld.one
+        return fld, emb, field_roots(fld, coeffs)[0]
+
+    (dom, emb, lam), _ = climb(dom, solve)
     lam_pow = dom.inv(lam)  # lam^(l-1) at l = 0
     out = []
-    for l, c in enumerate(coeffs):
-        out.append(dom.mul(lam_pow, c))
+    for c in s.coeffs:
+        out.append(dom.mul(lam_pow, emb(c)))
         lam_pow = dom.mul(lam_pow, lam)
     g = Germ1D(dom, Series(dom, out, s.trunc), normalization=lam)
     return g, lam, dom
@@ -589,15 +555,15 @@ def min_trunc(prof: InvariantProfile) -> int:
     return p ** prof.m * (prof.d + (p * prof.r[0]) // (p - 1) + 1)
 
 
-def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
+def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64,
                 allow_extension=True, nj_table=None, _prefix=()):
     """Solve the conjugacy recursion: returns (NormalForm, ConjugacyWitness).
 
     The witness phi has phi(0) = 1 and conjugates the unit-normalized germ
     onto the normal form, verified to order ``trunc`` by the independent
     composition oracle.  Deterministic: root choices use a fixed total order
-    on field elements, so ``seed`` (kept for callers that record it) does
-    not change the result.
+    on field elements.  A fiber with no root in the field restarts the solve
+    one hop up the tower (``fields.climb``).
     """
     f0, lam, dom = normalize_unit(f)
     if f0.series.trunc < trunc:
@@ -618,32 +584,22 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
             # entries past the table's fibers are checked on J itself
             if n not in fibers.fiber(j) and jays(prof, n)[1] != j:
                 raise ValidationError(f"custom table: J({n}) != {j}")
-    attempts = 0
-    f0_base, lam_base, base_field = f0, lam, f0.dom
-    extensions = []
-    while True:
-        g, _ = f0.split()
-        eng = _Engine(f0.dom, prof, g.coeffs[g.ord():], j_hi, nj_rule=choice,
-                      nj_table=nj_table, allow_extension=allow_extension,
-                      prefix=_prefix, fibers=fibers)
-        try:
-            eng.solve()
-            break
-        except _NeedExtension as ex:
-            attempts += 1
-            if attempts > 8:
-                raise NoRootInField("extension chain did not stabilize")
-            # one-hop embedding from the base field keeps values coherent
-            # across restarts (stepwise chains may pick different roots)
-            extensions.append({"kind": "extension", "n": None,
-                               "value": None, "k": ex.field.k})
-            emb = base_field.embed_map(ex.field)
-            coeffs = [emb(c) for c in f0_base.series.coeffs]
-            f0 = Germ1D(ex.field, Series(ex.field, coeffs,
-                                         f0_base.series.trunc))
-            lam = emb(lam_base)
-    eng.transcript[:0] = extensions
-    dom = f0.dom
+    g, _ = f0.split()
+    unit = g.coeffs[g.ord():]
+
+    def solve(fld, emb):
+        eng = _Engine(fld, prof, [emb(c) for c in unit], j_hi,
+                      nj_rule=choice, nj_table=nj_table, prefix=_prefix,
+                      fibers=fibers)
+        return eng.solve(), emb
+
+    (eng, emb), fields = climb(dom, solve, allow_extension)
+    eng.transcript[:0] = [{"kind": "extension", "n": None, "value": None,
+                           "k": fld.k} for fld in fields]
+    dom = eng.dom
+    f0 = Germ1D(dom, Series(dom, [emb(c) for c in f0.series.coeffs],
+                            f0.series.trunc))
+    lam = emb(lam)
     nz = [n for n, v in eng.eps_t.items() if not dom.is_zero(v)]
     deg = max(nz) if nz else 0
     if prof.e >= 1:
@@ -670,7 +626,7 @@ def normal_form(f: Germ1D, choice="ndoubleprime", trunc=64, seed=0,
 
 
 def enumerate_normal_forms(f: Germ1D, choice="ndoubleprime", trunc=64,
-                           seed=0, limit=128):
+                           limit=128):
     """All normal forms reachable by varying the solver's root choices.
 
     Exhaustive depth-first exploration of the (finite) root-choice tree;
@@ -681,8 +637,7 @@ def enumerate_normal_forms(f: Germ1D, choice="ndoubleprime", trunc=64,
     def explore(prefix):
         if len(results) >= limit:
             return
-        nf, wit = normal_form(f, choice=choice, trunc=trunc, seed=seed,
-                              _prefix=prefix)
+        nf, wit = normal_form(f, choice=choice, trunc=trunc, _prefix=prefix)
         results.append((nf, wit))
         cps = wit.choice_points
         for pos in range(len(prefix), len(cps)):

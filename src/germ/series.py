@@ -2,10 +2,12 @@
 
 A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
-``one`` and methods ``add, sub, neg, mul, inv, pow, frob, frob_root,
-from_int, is_zero, is_zero_to_prec``, ``conv(a, b, n)``, the first n+1
-coefficients of the product of two coefficient lists, and
-``add_shifted(lo, hi, off, n)``, the first n coefficients of lo + x**off * hi.
+``one`` and methods ``add, sub, neg, mul, inv, frob, frob_root, from_int,
+is_zero, is_zero_to_prec``, ``conv(a, b, n)``, the first n+1 coefficients
+of the product of two coefficient lists, ``add_shifted(lo, hi, off, n)``,
+the first n coefficients of lo + x**off * hi, and
+``additive_roots(terms, q)``, the solutions z of sum(c * z**(p**s)) = q
+for (s, c) in ``terms``, which raises when the domain holds none.
 Every series product goes through ``conv``, and ``compose`` adds each scaled
 power of the inner series through ``conv`` and ``add_shifted``.  ``is_zero_to_prec`` is the test comparisons use: true
 for a value that cannot be told from zero at its precision (over a finite

@@ -18,9 +18,9 @@ from germ.analytic import (LaurentDomain, certificate, check_growth,
 from germ.errors import DetDivisibleByP
 from germ.fields import field_create, unity_relation
 from germ.invariants import (InvariantProfile, JTable, choice_bound,
-                             compose_bound, compose_germs, fiber,
-                             germ_at_infinity, iterate_germ, iterate_profile,
-                             jays, profile, stable_threshold)
+                             compose_bound, compose_germs, germ_at_infinity,
+                             iterate_germ, iterate_profile, jays, profile,
+                             stable_threshold)
 from germ.multidim import (MultiGerm, MultiSeries, diagonal_scaling, int_det,
                            monomial_conjugacy)
 from germ.normalizer import (bhard_extract, bottcher_product,
@@ -47,11 +47,12 @@ def test_criterion_01_worked_example_golden():
     assert jays(pr, 21)[1] == 3 and jays(pr, 22)[1] == 3
     for n in range(23, 30):
         assert jays(pr, n)[1] == n - 19
-    assert fiber(pr, 1) == [9, 15, 20]
-    assert fiber(pr, 2) == [18]
-    assert fiber(pr, 3) == [21, 22]
+    table = JTable.through_fiber(pr, 29)
+    assert table.fiber(1) == [9, 15, 20]
+    assert table.fiber(2) == [18]
+    assert table.fiber(3) == [21, 22]
     for j in range(4, 30):
-        assert fiber(pr, j) == [j + 19]
+        assert table.fiber(j) == [j + 19]
     assert stable_threshold(pr) == Fraction(7, 2)
     golden = pathlib.Path(__file__).parent / "golden" / "jtable_p3.tsv"
     assert JTable.build(pr, 30).to_tsv() == golden.read_text()

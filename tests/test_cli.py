@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import germ
-from germ import jsonio, normalizer
+from germ import analytic, jsonio, normalizer
 from germ.analytic import LaurentDomain
 from germ.cli import main
 from germ.fields import field_create
@@ -53,6 +53,31 @@ def test_normalize_deterministic(germ_file, tmp_path):
     records = [json.loads(line) for line in tr.read_text().splitlines()]
     assert all(r["kind"] in ("eps", "phi", "extension") for r in records)
     assert any(r["kind"] == "phi" for r in records)
+
+
+def test_normalize_transcript_starts_with_extension_rows(tmp_path, capsys):
+    # x^3 + x^6 over F_3 restarts three times, up to F_{3^27}
+    co = [0] * 19
+    co[3] = co[6] = 1
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dump(jsonio.germ_to_dict(
+        Germ1D(F3, Series(F3, co, 18)))))
+    tr = tmp_path / "tr.jsonl"
+    assert main(["normalize", str(path), "--order", "18",
+                 "--transcript", str(tr)]) == 0
+    rows = [json.loads(line) for line in tr.read_text().splitlines()]
+    assert rows[:3] == [{"kind": "extension", "k": k} for k in (3, 9, 27)]
+    assert all(r["kind"] != "extension" for r in rows[3:])
+    out = json.loads(capsys.readouterr().out)
+    assert out["normal_form"]["field"]["k"] == 27
+
+
+def test_bottcher_command(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(_BOTTCHER_GERM))
+    assert main(["bottcher", str(path), "--order", "16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["command"] == "bottcher" and out["verified_order"] >= 16
 
 
 def test_jtable_golden(tmp_path):
@@ -157,15 +182,18 @@ def test_multinorm_deep_eps_term(tmp_path, capsys):
     assert json.loads(captured.out)["verified_degree"] == 1200
 
 
-def test_growth_command(tmp_path, capsys):
+def _growth_germ():
     dom = LaurentDomain(F3, prec=40)
     co = [dom.zero] * 25
     co[3] = dom.one
     co[4] = dom.t_power(1)
     co[6] = dom.one
-    f = Germ1D(dom, Series(dom, co, 24))
+    return jsonio.laurent_germ_to_dict(Germ1D(dom, Series(dom, co, 24)))
+
+
+def test_growth_command(tmp_path, capsys):
     path = tmp_path / "lf.json"
-    path.write_text(jsonio.dump(jsonio.laurent_germ_to_dict(f)))
+    path.write_text(jsonio.dump(_growth_germ()))
     tsv = tmp_path / "g.tsv"
     assert main(["growth", str(path), "--order", "40",
                  "--out", str(tsv)]) == 0
@@ -264,6 +292,9 @@ _EXIT_CASES = [
      (normalizer, "verify_conjugacy", _failed_oracle), 2),
     ("bottcher-oracle-fails", {"f": _BOTTCHER_GERM}, ["bottcher", "{f}"],
      (normalizer, "verify_conjugacy", _failed_oracle), 2),
+    ("growth-oracle-fails", {"f": _growth_germ()},
+     ["growth", "{f}", "--order", "20"],
+     (analytic, "verify_conjugacy", _failed_oracle), 2),
     ("multinorm-witness-fails", {"f": _MULTIGERM}, ["multinorm", "{f}"],
      (MultiSeries, "agree", lambda self, other: 1), 2),
 ]

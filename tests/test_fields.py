@@ -8,9 +8,10 @@ import pytest
 from germ import fields
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
-from germ.fields import (_REGISTRY, Field, _is_irreducible, _prime_factors,
-                         additive_roots, default_modulus, field_create,
-                         poly_roots, root_extension, unity_relation)
+from germ.fields import (_REGISTRY, Field, NeedExtension, _is_irreducible,
+                         _prime_factors, additive_roots, climb,
+                         default_modulus, field_create, poly_roots,
+                         root_extension, unity_relation)
 
 
 def test_field_create_examples():
@@ -131,7 +132,7 @@ def test_poly_roots_against_exhaustive_evaluation():
             wrapped = [f.wrap(c) for c in coeffs]
             want = {c for c in f.elements() if _eval(f, coeffs, c) == 0}
             try:
-                got = {r.code for r in poly_roots(wrapped, seed=3)[0]}
+                got = {r.code for r in poly_roots(wrapped)[0]}
             except NoRootInField:
                 got = None
             assert got == (want or None)
@@ -144,12 +145,39 @@ def _eval(field, coeffs, x):
     return acc
 
 
+def test_climb_restarts_one_hop_from_the_base():
+    f3, f9, f81 = (field_create(3, k) for k in (1, 2, 4))
+    seen = []
+
+    def solve(hops):
+        def run(field, emb):
+            seen.append(field)
+            if field.k in hops:
+                raise NeedExtension(hops[field.k])
+            return emb(2)
+        return run
+
+    result, fields = climb(f3, solve({1: f9, 2: f81}))
+    assert fields == seen[1:] == [f9, f81]
+    assert result == f3.embed_map(f81)(2)
+    # a hop that does not grow the field ends the climb
+    seen.clear()
+    with pytest.raises(NoRootInField):
+        climb(f3, solve({1: f9, 2: f81, 4: f81}))
+    assert seen == [f3, f9, f81]
+    # with extension off, so does the first hop
+    seen.clear()
+    with pytest.raises(NoRootInField):
+        climb(f3, solve({1: f9}), allow_extension=False)
+    assert seen == [f3]
+
+
 def test_poly_roots_deterministic():
     f9 = field_create(3, 2)
     rng = random.Random(13)
     coeffs = [f9.wrap(f9.rand(rng)) for _ in range(5)] + [f9.wrap(1)]
-    a = poly_roots(coeffs, seed=5, allow_extension=True)
-    b = poly_roots(coeffs, seed=5, allow_extension=True)
+    a = poly_roots(coeffs, allow_extension=True)
+    b = poly_roots(coeffs, allow_extension=True)
     assert [r.code for r in a[0]] == [r.code for r in b[0]]
     assert a[1] is b[1]
 
@@ -269,7 +297,7 @@ def test_poly_roots_match_sympy(p):
         want = {int(r) % p for r in _sympy_poly(coeffs, p).ground_roots()}
         try:
             got = {r.code for r in
-                   poly_roots([f.wrap(c) for c in coeffs], seed=1)[0]}
+                   poly_roots([f.wrap(c) for c in coeffs])[0]}
         except NoRootInField:
             got = set()
         assert got == want, coeffs
@@ -402,7 +430,7 @@ def test_additive_roots_match_poly_roots(p, k):
         codes = _poly_codes(field, terms, q)
         wrapped = [field.wrap(c) for c in codes]
         try:
-            want = [r.code for r in poly_roots(wrapped, seed=2)[0]]
+            want = [r.code for r in poly_roots(wrapped)[0]]
         except NoRootInField:
             want = []
         assert got == want, (kind, terms, q)

@@ -6,10 +6,9 @@ import pytest
 from germ.errors import DegreeTooSmall, InsufficientPrecision
 from germ.fields import field_create
 from germ.invariants import (InvariantProfile, JTable, choice_bound,
-                             compose_bound, compose_germs, fiber,
-                             germ_at_infinity, iterate_germ, iterate_profile,
-                             jays, n_doubleprime, n_prime, preceq_key,
-                             profile, stable_threshold)
+                             compose_bound, compose_germs, germ_at_infinity,
+                             iterate_germ, iterate_profile, jays, n_prime,
+                             preceq_key, profile, stable_threshold)
 from germ.series import Germ1D, Series
 from germ_testutil import candidate_fiber, make_germ, random_profile
 
@@ -49,11 +48,12 @@ def test_jays_paper_table():
     assert jays(pr, 22)[1] == 3
     assert jays(pr, 0)[1] == 0
     assert jays(pr, 23)[1] == 4 == 23 - 19
-    assert fiber(pr, 1) == [9, 15, 20]
-    assert fiber(pr, 2) == [18]
-    assert fiber(pr, 3) == [21, 22]
+    table = JTable.through_fiber(pr, 11)
+    assert table.fiber(1) == [9, 15, 20]
+    assert table.fiber(2) == [18]
+    assert table.fiber(3) == [21, 22]
     for j in range(4, 12):
-        assert fiber(pr, j) == [j + 19]
+        assert table.fiber(j) == [j + 19]
 
 
 def test_n_prime():
@@ -76,23 +76,25 @@ def test_preceq_examples():
 
 def test_n_doubleprime():
     pr = PAPER_PROFILE
-    assert n_doubleprime(pr, 1) == 20
-    assert n_doubleprime(pr, 2) == 18
-    assert n_doubleprime(pr, 3) == 22
+    table = JTable.through_fiber(pr, 100)
+    assert table.n_doubleprime(1) == 20
+    assert table.n_doubleprime(2) == 18
+    assert table.n_doubleprime(3) == 22
     for j in range(1, 101):
-        assert jays(pr, n_doubleprime(pr, j))[1] == j
+        assert jays(pr, table.n_doubleprime(j))[1] == j
         if (j + 19) % 3 != 0:
-            assert n_doubleprime(pr, j) == j + 19
+            assert table.n_doubleprime(j) == j + 19
 
 
 def test_representatives_on_random_profiles():
     rng = random.Random(4)
     for _ in range(25):
         pr = random_profile(rng)
+        table = JTable.through_fiber(pr, 100)
         for j in range(0, 101):
             assert jays(pr, n_prime(pr, j))[1] == j
             if j:
-                assert jays(pr, n_doubleprime(pr, j))[1] == j
+                assert jays(pr, table.n_doubleprime(j))[1] == j
 
 
 def test_fiber_table_matches_candidate_sets():
@@ -111,7 +113,7 @@ def test_fiber_table_matches_candidate_sets():
                 assert table.n_doubleprime(j) == min(
                     members, key=lambda n: preceq_key(pr.p, pr.e, n))
         j = rng.randrange(j_hi + 1)
-        assert fiber(pr, j) == table.fiber(j)
+        assert JTable.through_fiber(pr, j).fiber(j) == table.fiber(j)
 
 
 def test_stable_threshold():
@@ -129,8 +131,9 @@ def test_fiber_structure():
             assert n < 3 * 19 / 2
     thr = stable_threshold(pr)
     j = int(thr) + 1
+    table = JTable.through_fiber(pr, 39)
     while j < 40:
-        assert fiber(pr, j) == [pr.r[0] + j]
+        assert table.fiber(j) == [pr.r[0] + j]
         j += 1
 
 

@@ -227,13 +227,12 @@ def test_diagonal_scaling():
 def test_diagonal_scaling_failed_check(monkeypatch):
     # a wrong root fails the exact verification with a germ error that
     # callers catching AssertionError still catch
-    poly_roots = multidim.poly_roots
+    field_roots = multidim.field_roots
 
-    def off_by_one(coeffs, **kw):
-        roots, fld = poly_roots(coeffs, **kw)
-        return [r + 1 for r in roots], fld
+    def off_by_one(field, codes):
+        return [field.add(r, 1) for r in field_roots(field, codes)]
 
-    monkeypatch.setattr(multidim, "poly_roots", off_by_one)
+    monkeypatch.setattr(multidim, "field_roots", off_by_one)
     with pytest.raises(CheckFailed) as info:
         diagonal_scaling((1, 2), ((2, 0), (0, 2)), F3)
     assert isinstance(info.value, AssertionError)
