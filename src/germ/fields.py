@@ -39,6 +39,33 @@ for _tc in "BHILQ":
     _SLOT_TYPECODES.setdefault(array(_tc).itemsize, _tc)
 del _tc
 
+# byte v -> the numeral of v, so int(digits.translate(_NUMERALS)[::-1], p)
+# reads a little-endian digit string back into a code when p <= 36
+_NUMERALS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"0")
+
+
+def _slot_width(bound):
+    """Bytes per slot for slot values up to ``bound``: 1, 2, 4 or 8 when
+    that suffices, so an array unpacks the slots, else the exact count."""
+    width = bound.bit_length() + 7 >> 3
+    for size in (1, 2, 4, 8):
+        if width <= size:
+            return size
+    return width
+
+
+def _unpack_slots(raw, width):
+    """The unsigned little-endian ``width``-byte slots of ``raw``."""
+    typecode = _SLOT_TYPECODES.get(width)
+    if typecode is None:
+        return [int.from_bytes(raw[i: i + width], "little")
+                for i in range(0, len(raw), width)]
+    slots = array(typecode)
+    slots.frombytes(raw)
+    if sys.byteorder != "little":
+        slots.byteswap()
+    return slots
+
 
 def is_prime(n):
     """Deterministic Miller-Rabin, valid far beyond the 2**64 field cap."""
@@ -96,19 +123,24 @@ def _poly_sub(dom, f, g):
 
 
 def _poly_divmod(dom, f, g):
-    """(f // g, f mod g) for monic g."""
+    """(f // g, f mod g) for nonzero g; each quotient digit c adds -c
+    times the low terms of g."""
     f = list(f)
     dg = len(g) - 1
     q = [0] * max(0, len(f) - dg)
     terms = [(i, c) for i, c in enumerate(g[:dg]) if c]
-    sub, mul = dom.sub, dom.mul
+    add, mul, neg = dom.add, dom.mul, dom.neg
+    inv = None if g[-1] == 1 else dom.inv(g[-1])
     while len(f) > dg:
         c = f.pop()
         if c:
+            if inv is not None:
+                c = mul(c, inv)
             shift = len(f) - dg
             q[shift] = c
+            c = neg(c)
             for i, gi in terms:
-                f[shift + i] = sub(f[shift + i], mul(c, gi))
+                f[shift + i] = add(f[shift + i], mul(c, gi))
     return _strip(q), _strip(f)
 
 
@@ -122,7 +154,7 @@ def _poly_monic(dom, f):
 def _poly_gcd(dom, f, g):
     f, g = list(f), list(g)
     while g:
-        f, g = g, _poly_divmod(dom, f, _poly_monic(dom, g))[1]
+        f, g = g, _poly_divmod(dom, f, g)[1]
     return _poly_monic(dom, f)
 
 
@@ -164,13 +196,34 @@ def _first_factor_degree(field, f, limit):
     return None
 
 
-def _is_irreducible(f, p):
+def _is_irreducible(f, p, start=1):
     """Ben-Or's test for monic f over Z_p: a reducible f of degree n has a
-    factor of degree d <= n/2, which divides x**(p**d) - x."""
+    factor of degree d <= n/2, which divides x**(p**d) - x.
+
+    x**(p**d) mod f comes from the fold-row product built from f.  The
+    x**(p**d) - x are multiplied together mod f and the product's gcd with
+    f (:func:`_poly_gcd`) is taken at d = 1, 2, 4, 8, .. and n/2, so a
+    factor of degree d shows at the first of those at or after d, for a
+    gcd per doubling of d instead of one per d.  A caller that has ruled
+    out every linear factor passes ``start=2``."""
     n = len(f) - 1
-    if n <= 0:
-        return False
-    return _first_factor_degree(field_create(p, 1), f, n // 2) is None
+    if n <= 1:
+        return n == 1
+    ring, fp = _FoldProduct(p, f), field_create(p, 1)
+    y, acc = p, 1                               # p: the code of x
+    last = n // 2
+    for d in range(1, last + 1):
+        y = ring.pow(y, p)
+        if d < start:
+            continue
+        # the code of x**(p**d) - x: one off the digit of x, mod p
+        h = y - p if y // p % p else y + (p - 1) * p
+        acc = h if acc == 1 else ring.mul(acc, h)
+        if d & (d - 1) == 0 or d == last:
+            if len(_poly_gcd(fp, f, _strip(list(ring.digits(acc))))) != 1:
+                return False
+            acc = 1
+    return True
 
 
 @functools.cache
@@ -179,7 +232,8 @@ def default_modulus(p, k):
 
     The search counts an index upward and unpacks it base p into the low
     coefficients (c_0 least significant), so two runs agree bit for bit.
-    A candidate with a root at 1 or -1 is reducible and skips Ben-Or's test.
+    A candidate with a root at 1 or -1 is reducible and skips Ben-Or's test;
+    when p <= 3 that leaves no linear factor, so the test starts at d = 2.
     Memoized: every climb of the tower asks again for the same (p, k).
     """
     if k == 1:
@@ -193,11 +247,179 @@ def default_modulus(p, k):
         if rest == 0 and c[0] != 0:
             f = c + [1]
             if sum(f) % p and (sum(f[::2]) - sum(f[1::2])) % p and \
-                    _is_irreducible(f, p):
+                    _is_irreducible(f, p, 2 if p <= 3 else 1):
                 return tuple(f)
         if rest:
             raise ReducibleModulus(f"no irreducible of degree {k} found mod {p}")
         idx += 1
+
+
+# ---------------------------------------------------------------------------
+# digit vectors packed in ints: tables per p, products mod a monic polynomial
+# ---------------------------------------------------------------------------
+
+def _digit_sum_table(p, c):
+    """T[a][b]: the code of the digit-wise sum mod p of the c-digit codes a
+    and b, built by digits: T_c[a][b] = T_1[a%p][b%p] + p*T_(c-1)[a//p][b//p]."""
+    tab = one = [[(a + b) % p for b in range(p)] for a in range(p)]
+    for _ in range(c - 1):
+        tab = [[p * y + x for y in tab[hi] for x in one[lo]]
+               for hi in range(len(tab)) for lo in range(p)]
+    return tab
+
+
+class _DigitTables:
+    """Tables of base-p digits, built once per p by :func:`_digit_tables`
+    and shared by every field and ring of characteristic p.
+
+    ``byte_mod`` and ``byte_neg`` take a byte v to v % p and -v % p
+    (p < 256), for ``bytes.translate``.  When p <= 100 a chunk is the
+    ``chunk_len`` = c digits with p**c <= 100: ``chunk`` is p**c,
+    ``chunk_digits[x]`` the c digit bytes of the chunk code x, and
+    ``chunk_add[x][y]`` and ``chunk_neg[x]`` their digit-wise sum and
+    negation, built on first use, so the sum table holds at most 10**4
+    entries however large p**k is.  Above 100 ``chunk`` is None.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.byte_mod = self.byte_neg = None
+        if p < 256:
+            self.byte_mod = bytes(v % p for v in range(256))
+            self.byte_neg = bytes(-v % p for v in range(256))
+        self.chunk = self.chunk_digits = None
+        if p <= 100:
+            self.chunk_len = 1
+            while p ** (self.chunk_len + 1) <= 100:
+                self.chunk_len += 1
+            self.chunk = p ** self.chunk_len
+            self.chunk_digits = [
+                bytes(x // p ** i % p for i in range(self.chunk_len))
+                for x in range(self.chunk)]
+
+    @functools.cached_property
+    def chunk_add(self):
+        return _digit_sum_table(self.p, self.chunk_len)
+
+    @functools.cached_property
+    def chunk_neg(self):
+        return [row.index(0) for row in self.chunk_add]
+
+
+_digit_tables = functools.cache(_DigitTables)
+
+
+class _FoldProduct:
+    """Products of codes modulo a monic f of degree n >= 2 over Z_p, with no
+    table of the p**n residues.
+
+    A code packs the digit vector (c_0, ..., c_(n-1)) as sum(c_i * p**i).
+    The product spreads both digit vectors into ``width``-byte slots and
+    multiplies the two ints once; slot j then holds the digit sum of x**j.
+    Its 2n-1 slots are reduced mod p, and the slots of x**n .. x**(2n-2) are
+    folded back along ``fold``, the rows of their residues mod f packed the
+    same way.  No slot ever exceeds n*(p-1)**2, so nothing carries from
+    one slot into the next.  Any F_p-linear map is applied the same way,
+    from the packed images of 1, x, .., x**(n-1) (:meth:`linear`).
+    """
+
+    def __init__(self, p, f):
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.width = _slot_width(n * (p - 1) ** 2)
+        self.tables = _digit_tables(p)
+        bits = 8 * self.width
+        top_slot = bits * (n - 1)
+        row = x_n = self.pack([(-c) % p for c in f[:n]])
+        self.fold = []
+        for _ in range(n - 1):
+            self.fold.append(row)
+            # times x: up one slot, the slot of x**n folded back
+            top = row >> top_slot
+            row = (row - (top << top_slot)) << bits
+            if top:
+                row = self.pack(self.reduce(row + top * x_n, n))
+
+    def digits(self, code):
+        """The n digits of a code, low first: bytes when p < 256."""
+        tabs, n = self.tables, self.n
+        if tabs.chunk is None:
+            out = []
+            for _ in range(n):
+                code, d = divmod(code, self.p)
+                out.append(d)
+            return bytes(out) if self.p < 256 else out
+        size, chunk_digits, parts = tabs.chunk, tabs.chunk_digits, []
+        while code:
+            code, x = divmod(code, size)
+            parts.append(chunk_digits[x])
+        return b"".join(parts).ljust(n, b"\0")[:n]
+
+    def code(self, digits):
+        """The code of a digit sequence (values below p), low first."""
+        p = self.p
+        if p <= 36:
+            return int(bytes(digits).translate(_NUMERALS)[::-1], p)
+        code = 0
+        for d in reversed(digits):
+            code = code * p + d
+        return code
+
+    def pack(self, digits):
+        """The digits as one int, digit i in slot i."""
+        width = self.width
+        if width == 1:
+            return int.from_bytes(digits, "little")
+        buf = bytearray(len(digits) * width)
+        if self.p < 256:
+            buf[::width] = digits
+        else:
+            for byte in range((self.p - 1).bit_length() + 7 >> 3):
+                buf[byte::width] = bytes(d >> 8 * byte & 255 for d in digits)
+        return int.from_bytes(buf, "little")
+
+    def reduce(self, x, count):
+        """The ``count`` slots of x, each reduced mod p: bytes when p < 256."""
+        width = self.width
+        raw = x.to_bytes(count * width, "little")
+        if width == 1:
+            return raw.translate(self.tables.byte_mod)
+        p = self.p
+        digits = [v % p for v in _unpack_slots(raw, width)]
+        return bytes(digits) if p < 256 else digits
+
+    def _combine(self, acc, digits, cols):
+        """The digits of acc + sum(d * col), acc and the cols packed."""
+        for d, col in zip(digits, cols):
+            if d:
+                acc += d * col
+        return self.reduce(acc, self.n)
+
+    def _times(self, x, y):
+        """The digits of the residue of x * y, for x and y packed."""
+        n = self.n
+        slots = self.reduce(x * y, 2 * n - 1)
+        return self._combine(self.pack(slots[:n]), slots[n:], self.fold)
+
+    def mul(self, a, b):
+        return self.code(self._times(self.pack(self.digits(a)),
+                                     self.pack(self.digits(b))))
+
+    def pow(self, a, e):
+        """a**e by squaring, packed from the first product to the last."""
+        x, r = self.pack(self.digits(a)), None
+        while e:
+            if e & 1:
+                r = x if r is None else self.pack(self._times(r, x))
+            e >>= 1
+            if e:
+                x = self.pack(self._times(x, x))
+        return 1 if r is None else self.code(self.reduce(r, self.n))
+
+    def linear(self, cols, a):
+        """The image of code a under the F_p-linear map that takes x**i to
+        the residue packed in cols[i]."""
+        return self.code(self._combine(0, self.digits(a), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -213,50 +435,39 @@ class Field:
     All kernel methods act on integer codes.  Do not instantiate directly;
     use :func:`field_create` so descriptors stay canonical.  Descriptors are
     immutable after construction and safe to share; the lazily filled
-    embedding cache only ever grows and its per-key maps are pure, so
-    concurrent readers cannot observe a wrong value.
+    embedding and Frobenius caches only ever grow and their entries are
+    pure, so concurrent readers cannot observe a wrong value.
+
+    Fields up to 2**16 elements multiply through exp/log tables.  Above
+    that, products, powers and inverses go through the fold-row product
+    (:class:`_FoldProduct`), the Frobenius through its matrix, and, for odd
+    p, sums and negations through tables on chunks of digits.
     """
 
-    def __init__(self, p, k, modulus, parent=None):
+    def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
         self.q = p ** k
         self.modulus = tuple(modulus)
-        self.parent = parent
         self.zero = 0
         self.one = 1
         self._emb = {}
-        self._fold = self._fold_rows()
+        self._frob = {}     # m -> codes and packed slots of the basis images
+        self._digits = _digit_tables(p)
+        self._ring = _FoldProduct(p, self.modulus) if k > 1 else None
+        self._fold = [list(self._ring.reduce(row, k))
+                      for row in self._ring.fold] if k > 1 else []
         self._build_tables()
 
     # -- construction helpers ----------------------------------------------
 
     def _encode(self, vec):
-        code, w = 0, 1
-        for c in vec:
-            code += (c % self.p) * w
-            w *= self.p
-        return code
+        if self.k == 1:
+            return vec[0] % self.p
+        return self._ring.code([c % self.p for c in vec])
 
     def _decode(self, code):
-        p, out = self.p, []
-        for _ in range(self.k):
-            code, c = divmod(code, p)
-            out.append(c)
-        return out
-
-    def _fold_rows(self):
-        """Digit vectors of alpha**k .. alpha**(2k-2) in the modulus basis."""
-        p, k = self.p, self.k
-        row = [(-c) % p for c in self.modulus[:k]]      # alpha**k
-        rows = []
-        for _ in range(k - 1):
-            rows.append(row)
-            top = row[-1]
-            row = [0] + row[:-1]                        # times alpha
-            if top:
-                row = [(c + top * r) % p for c, r in zip(row, rows[0])]
-        return rows
+        return list(self._ring.digits(code)) if self.k > 1 else [code]
 
     def _raw_mul(self, a, b):
         """Table-free multiplication; used to bootstrap the tables."""
@@ -264,18 +475,12 @@ class Field:
             return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        fp = self.parent
-        prod = _poly_mul(fp, self._decode(a), self._decode(b))
-        return self._encode(_poly_divmod(fp, prod, self.modulus)[1])
+        return self._ring.mul(a, b)
 
     def _raw_pow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
+        if self.k == 1:
+            return pow(a, e, self.p)
+        return self._ring.pow(a, e)
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -285,7 +490,7 @@ class Field:
         # product in one bytes.translate; a byte holds any sum of two digits
         self._mod_bytes = None
         if k == 1 and 2 * (p - 1) < 256:
-            self._mod_bytes = (bytes(range(p)) * (256 // p + 1))[:256]
+            self._mod_bytes = self._digits.byte_mod
         # digit vectors add as packed bytes: xor, or add and translate
         self._byte_add = p == 2 and q <= 256 or self._mod_bytes is not None
         # the most terms a one-byte slot of an F_p product can sum
@@ -293,12 +498,7 @@ class Field:
         if q > _TABLE_LIMIT:
             return
         if p != 2 and q <= _ADD_TABLE_LIMIT:  # p = 2 adds by xor
-            # by digits: T_j[a][b] = T_1[a % p][b % p] + p*T_(j-1)[a//p][b//p]
-            tab = one = [[(a + b) % p for b in range(p)] for a in range(p)]
-            for _ in range(k - 1):
-                tab = [[p * y + x for y in tab[hi] for x in one[lo]]
-                       for hi in range(len(tab)) for lo in range(p)]
-            self._add_tab = tab
+            self._add_tab = _digit_sum_table(p, k)
         factors = _prime_factors(q - 1) if q > 2 else []
         g = 1  # q == 2
         # a constant of F_p has order dividing p - 1 < q - 1 when k > 1
@@ -326,17 +526,23 @@ class Field:
     # -- kernel ops on codes -------------------------------------------------
 
     def add(self, a, b):
+        """a + b: xor when p = 2, the full table up to 256 elements, and
+        above that chunk by chunk of digits (digit by digit when p > 100)."""
         if self.p == 2:
             return a ^ b
         if self._add_tab is not None:
             return self._add_tab[a][b]
-        p = self.p
+        tabs = self._digits
+        if tabs.chunk is None:
+            return self._encode([x + y for x, y in
+                                 zip(self._decode(a), self._decode(b))])
+        size, add = tabs.chunk, tabs.chunk_add
         out, w = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * w
-            a //= p
-            b //= p
-            w *= p
+        while a or b:
+            a, x = divmod(a, size)
+            b, y = divmod(b, size)
+            out += add[x][y] * w
+            w *= size
         return out
 
     def neg(self, a):
@@ -344,8 +550,16 @@ class Field:
             return a
         if self._neg_tab is not None:
             return self._neg_tab[a]
-        p = self.p
-        return self._encode([(-c) % p for c in self._decode(a)])
+        tabs = self._digits
+        if tabs.chunk is None:
+            return self._encode([-c for c in self._decode(a)])
+        size, negate = tabs.chunk, tabs.chunk_neg
+        out, w = 0, 1
+        while a:
+            a, x = divmod(a, size)
+            out += negate[x] * w
+            w *= size
+        return out
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -358,8 +572,8 @@ class Field:
         are xored, and over F_p with 2(p-1) < 256 they are added, which
         carries nothing from one byte into the next, and every byte is
         reduced mod p by one translate.  Packed, bytes operands give bytes.
-        Otherwise the digits add one by one: xor when p = 2, through the
-        addition table where there is one, and by ``add`` over table-free
+        Otherwise the codes add one by one: xor when p = 2, through the
+        addition table where there is one, and by ``add`` over the other
         odd-p fields.
         """
         top = len(hi) if len(hi) < n - off else n - off
@@ -464,24 +678,11 @@ class Field:
             return out
         m = min(n + 1, la + lb - 1)
         stride = 2 * k - 1
-        width = (min(la, lb) * k * (p - 1) ** 2).bit_length() + 7 >> 3
-        typecode = None
-        for size in (1, 2, 4, 8):
-            if width <= size:
-                width, typecode = size, _SLOT_TYPECODES[size]
-                break
+        width = _slot_width(min(la, lb) * k * (p - 1) ** 2)
         prod = self._pack(a, la, stride, width) * \
             self._pack(b, lb, stride, width)
         raw = prod.to_bytes((la + lb - 1) * stride * width, "little")
-        raw = memoryview(raw)[: m * stride * width]
-        if typecode is not None:
-            slots = array(typecode)
-            slots.frombytes(raw)
-            if sys.byteorder != "little":
-                slots.byteswap()
-        else:
-            slots = [int.from_bytes(raw[i: i + width], "little")
-                     for i in range(0, len(raw), width)]
+        slots = _unpack_slots(memoryview(raw)[: m * stride * width], width)
         if k == 1:
             out = [v % p for v in slots]
         else:
@@ -532,13 +733,35 @@ class Field:
         return self._raw_pow(a, e)
 
     def frob(self, a, m=1):
-        """a**(p**m)."""
+        """a**(p**m): a power through the tables, and on a table-free field
+        the F_p-linear Frobenius matrix, whose columns are the images of the
+        basis (:meth:`_frob_images`)."""
+        if self._exp is None and self.k > 1:
+            return self._ring.linear(self._frob_images(m)[1], a)
         return self.pow(a, self.p ** (m % self.k))
 
     def frob_root(self, a, m=1):
         """The unique root of y**(p**m) = a; finite fields are perfect.
         Frobenius has order k, so its inverse is k - m more applications."""
-        return self.pow(a, self.p ** (-m % self.k))
+        return self.frob(a, -m % self.k)
+
+    def _frob_images(self, m):
+        """The codes of (alpha**i)**(p**m) for i < k, and the same packed
+        as slot ints (None when k = 1): the columns of the Frobenius matrix,
+        found once per m mod k."""
+        m %= self.k
+        images = self._frob.get(m)
+        if images is None:
+            beta = self.pow(self.p if self.k > 1 else 1, self.p ** m)
+            codes = [1]
+            for _ in range(self.k - 1):
+                codes.append(self.mul(codes[-1], beta))
+            packed = None
+            if self._ring is not None:
+                ring = self._ring
+                packed = [ring.pack(ring.digits(c)) for c in codes]
+            images = self._frob[m] = (codes, packed)
+        return images
 
     def min_poly(self, a):
         """The minimal polynomial of a over F_p, low degree first, as codes
@@ -669,8 +892,7 @@ def field_create(p, k, modulus=None):
     key = (p, k, modulus)
     f = _REGISTRY.get(key)
     if f is None:
-        parent = field_create(p, 1) if k > 1 else None
-        f = Field(p, k, modulus, parent=parent)
+        f = Field(p, k, modulus)
         _REGISTRY[key] = f
     return f
 
@@ -815,48 +1037,91 @@ def additive_roots(field, terms, q):
 
     The left side is a linearized polynomial, so z -> sum(c * z**(p**s)) is
     F_p-linear: the solutions are one particular solution plus the kernel of
-    a k x k matrix over F_p whose column i is the image of alpha**i.
+    a k x k matrix over F_p whose column i is the image of alpha**i, built
+    from the cached Frobenius images of the basis.
     """
     p, k = field.p, field.k
     cols = [0] * k
-    alpha = p if k > 1 else 1                   # the code of alpha
     for s, c in terms:
-        step = field.frob(alpha, s)             # alpha**(p**s)
-        for i in range(k):                      # c * (alpha**i)**(p**s)
-            cols[i] = field.add(cols[i], c)
-            c = field.mul(c, step)
-    # rows of the augmented matrix [M | q], brought to reduced echelon form
-    digits = [field._decode(c) for c in cols]
-    rows = [[col[r] for col in digits] + [v]
-            for r, v in enumerate(field._decode(q))]
-    pivots = []
-    for col in range(k):
-        r = len(pivots)
-        piv = next((i for i in range(r, k) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    if any(row[k] for row in rows[len(pivots):]):
+        for i, image in enumerate(field._frob_images(s)[0]):
+            cols[i] = field.add(cols[i], field.mul(c, image))
+    pivots = _reduced_echelon(field, cols, q)
+    if pivots is None:
         return []
     sols = [[0] * k]
-    for r, col in enumerate(pivots):
-        sols[0][col] = rows[r][k]
-    for free in sorted(set(range(k)) - set(pivots)):
+    for col, row in pivots:
+        sols[0][col] = row[k]
+    for free in sorted(set(range(k)) - {col for col, _ in pivots}):
         v = [0] * k
         v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free] % p
+        for col, row in pivots:
+            v[col] = -row[free] % p
         sols = [[(a + t * b) % p for a, b in zip(x, v)]
                 for x in sols for t in range(p)]
     sols.sort()
     return [field._encode(x) for x in sols]
+
+
+def _reduced_echelon(field, cols, q):
+    """The reduced echelon form of the augmented matrix [M | q] over F_p,
+    where column i of M holds the digits of cols[i]: its (pivot column, row)
+    pairs in column order, or None when q is not in the image of M.
+
+    When p*p <= 256 the k rows of k+1 digits are one byte string, and
+    clearing a column is one product: the pivot row times the packed column
+    of multipliers, added to the whole matrix and reduced by one translate;
+    no entry exceeds p*(p - 1) on the way.  Otherwise rows are lists."""
+    p, k = field.p, field.k
+    n = k + 1
+    digits = [field._decode(c) for c in cols + [q]]
+    if p * p > 256:
+        rows = [list(row) for row in zip(*digits)]
+        pivots = []
+        for col in range(k):
+            r = len(pivots)
+            piv = next((i for i in range(r, k) if rows[i][col]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = pow(rows[r][col], p - 2, p)
+            rows[r] = [v * inv % p for v in rows[r]]
+            for i, row in enumerate(rows):
+                f = row[col]
+                if f and i != r:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
+            pivots.append(col)
+        if any(row[k] for row in rows[len(pivots):]):
+            return None
+        return list(zip(pivots, rows))
+    tabs = field._digits
+    nonzero = bytes([0] + [1] * 255)      # v -> v != 0
+    mat = bytearray(k * n)
+    for i, col in enumerate(digits):
+        mat[i::n] = col
+    free = int.from_bytes(b"\1" * k, "little")   # a 1 at each non-pivot row
+    pivots = []
+    for col in range(k):
+        column = mat[col::n]
+        cand = int.from_bytes(column.translate(nonzero), "little") & free
+        if not cand:
+            continue
+        r = (cand & -cand).bit_length() - 1 >> 3
+        start = r * n
+        row = (int.from_bytes(mat[start: start + n], "little") *
+               pow(column[r], p - 2, p)).to_bytes(n, "little").translate(
+                   tabs.byte_mod)
+        spread = bytearray(k * n)         # row r itself is written back
+        spread[::n] = column.translate(tabs.byte_neg)
+        mat = bytearray((int.from_bytes(mat, "little") +
+                         int.from_bytes(spread, "little") *
+                         int.from_bytes(row, "little")).to_bytes(
+                             k * n, "little").translate(tabs.byte_mod))
+        mat[start: start + n] = row
+        free ^= 1 << 8 * r
+        pivots.append((col, start))
+    if int.from_bytes(mat[k::n].translate(nonzero), "little") & free:
+        return None
+    return [(col, mat[start: start + n]) for col, start in pivots]
 
 
 def unity_relation(zeta, n):

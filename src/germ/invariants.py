@@ -95,15 +95,18 @@ def profile(f: Germ1D) -> InvariantProfile:
 # ---------------------------------------------------------------------------
 
 def jays(prof: InvariantProfile, n: int):
-    """(J_0(n), ..., J_e(n)) as exact rationals, and J(n) = max as an int."""
+    """(J_0(n), ..., J_e(n)) exactly, and J(n) = max as an int.  J_k(n) is
+    an int where p^k divides n - r_k (0 where it vanishes), a Fraction
+    elsewhere."""
     p = prof.p
     vals = []
     vn = nu_p(p, n)
     for k in range(prof.e + 1):
         if k <= vn and n > prof.r[k]:
-            vals.append(Fraction(n - prof.r[k], p ** k))
+            j, rem = divmod(n - prof.r[k], p ** k)
+            vals.append(Fraction(n - prof.r[k], p ** k) if rem else j)
         else:
-            vals.append(Fraction(0))
+            vals.append(0)
     top = max(vals)
     if top.denominator != 1:
         raise AssertionError(f"J({n}) is not an integer: {top}")
@@ -127,7 +130,7 @@ class JTable:
     J into fibers (ascending)."""
     profile: InvariantProfile
     n_max: int  # exclusive
-    rows: list  # per n: (vals tuple of Fractions, J int)
+    rows: list  # per n: (vals tuple, J int), as jays gives them
     fibers: dict  # J -> [n, ...]
 
     @classmethod

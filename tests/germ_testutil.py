@@ -53,6 +53,35 @@ def schoolbook_conv(field, a, b, n):
     return out
 
 
+def schoolbook_field_mul(field, a, b):
+    """Reference for the table-free product of F_{p^k}: both codes decoded
+    digit by digit, multiplied by ``_poly_mul`` over F_p, reduced by the
+    modulus in ``_poly_divmod``, and the remainder encoded."""
+    from germ.fields import _poly_divmod, _poly_mul
+    fp = field_create(field.p, 1)
+    prod = _poly_mul(fp, schoolbook_digits(field, a),
+                     schoolbook_digits(field, b))
+    rem = _poly_divmod(fp, prod, list(field.modulus))[1]
+    return sum(c * field.p ** i for i, c in enumerate(rem))
+
+
+def schoolbook_field_add(field, a, b):
+    """Reference for ``field.add``: the digit-wise sum mod p, digit by
+    digit."""
+    p = field.p
+    return sum((x + y) % p * p ** i for i, (x, y) in enumerate(
+        zip(schoolbook_digits(field, a), schoolbook_digits(field, b))))
+
+
+def schoolbook_digits(field, code):
+    """The k base-p digits of a code, low first, one divmod each."""
+    out = []
+    for _ in range(field.k):
+        code, d = divmod(code, field.p)
+        out.append(d)
+    return out
+
+
 def schoolbook_add_shifted(field, lo, hi, off, n):
     """Reference for ``field.add_shifted``: the first n coefficients of
     lo + x**off * hi, one scalar add per overlapping digit."""

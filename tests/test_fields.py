@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,8 @@ from germ.fields import (_REGISTRY, Field, NeedExtension, _is_irreducible,
                          _prime_factors, additive_roots, climb,
                          default_modulus, field_create, poly_roots,
                          root_extension, unity_relation)
+from germ_testutil import (schoolbook_digits, schoolbook_field_add,
+                           schoolbook_field_mul)
 
 
 def test_field_create_examples():
@@ -106,6 +109,53 @@ def test_frobenius_root_roundtrip(p, k):
         for c in sample:
             r = f.frob_root(c, m)
             assert f.pow(r, p ** m) == c
+
+
+# table-free fields: one-byte slots (F_{3^11}, F_{3^27}, F_{2^17}, F_{5^9}),
+# two-byte (F_{7^12}), four-byte (F_{251^3}), multi-byte digits
+# (F_{257^2}), and slots past any array item (F_{(2^32-5)^2})
+_TABLE_FREE = [(3, 11), (3, 27), (2, 17), (5, 9), (7, 12), (251, 3),
+               (257, 2), (2 ** 32 - 5, 2)]
+
+
+@pytest.mark.parametrize("p,k", _TABLE_FREE)
+def test_table_free_kernel_matches_schoolbook(p, k):
+    # the packed product against decode, _poly_mul, _poly_divmod, encode;
+    # the Frobenius matrix against powers; chunked sums and negations
+    # against the digit-by-digit loop
+    f = field_create(p, k)
+    assert f.q > 1 << 16 and f._exp is None
+    rng = random.Random(p * k)
+    sample = [0, 1, p, f.q - 1] + [f.rand(rng) for _ in range(30)]
+    for a, b in zip(sample, sample[1:] + sample[:1]):
+        assert f.mul(a, b) == schoolbook_field_mul(f, a, b), (a, b)
+        assert f.add(a, b) == schoolbook_field_add(f, a, b), (a, b)
+        assert f.add(a, f.neg(a)) == 0
+        assert f.sub(a, b) == schoolbook_field_add(f, a, f.neg(b))
+        assert f.to_vec(a) == tuple(schoolbook_digits(f, a))
+        assert f.from_vec(f.to_vec(a)) == a
+    for c in sample[:8]:
+        for m in range(2 * k):
+            assert f.frob(c, m) == f.pow(c, p ** m), (c, m)
+        assert f.frob_root(f.frob(c, 1), 1) == c
+        assert c == 0 or f.mul(c, f.inv(c)) == 1
+
+
+def test_table_free_fields_allocate_little(monkeypatch):
+    # digit tables grow with p only while p**c <= 100; a table sized p**2
+    # for p = 2**31 - 1 would not fit in memory
+    for p, k in [(2 ** 31 - 1, 2), (97, 9)]:
+        monkeypatch.setattr(fields, "_REGISTRY", {})
+        tracemalloc.start()
+        try:
+            f = field_create(p, k)
+            rng = random.Random(5)
+            a, b = f.rand(rng), f.rand(rng)
+            f.frob(f.sub(f.mul(a, b), f.add(a, b)), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (p, k, peak)
 
 
 def test_poly_roots_examples():
@@ -451,3 +501,23 @@ def test_additive_roots_match_poly_roots(p, k):
         if kind != "no-solution" or not got:
             seen[kind] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (5, 3), (7, 2), (13, 2), (17, 2),
+                                 (19, 1)])
+def test_additive_roots_match_brute_force(p, k):
+    # every z of the field tried, the left side by powers, not frob: covers
+    # the packed row reduction (p*p <= 256) and the list one (p = 17, 19)
+    field = field_create(p, k)
+    rng = random.Random(7 * p + k)
+    for kind in ("random", "inseparable", "kernel", "no-solution") * 5:
+        terms, q = _additive_equation(field, rng, kind)
+        want = []
+        for z in field.elements():
+            lhs = 0
+            for s, c in terms:
+                lhs = field.add(lhs, field.mul(c, field.pow(z, p ** s)))
+            if lhs == q:
+                want.append(z)
+        want.sort(key=field.to_vec)
+        assert additive_roots(field, terms, q) == want, (kind, terms, q)

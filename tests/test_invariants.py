@@ -56,6 +56,27 @@ def test_jays_paper_table():
         assert table.fiber(j) == [j + 19]
 
 
+def test_jays_rows_are_exact():
+    # J_k(n) = (n - r_k)/p^k where p^k divides n and n > r_k, else 0: an
+    # int where the division is exact, so only the rare fractional cells of
+    # the TSV hold a Fraction
+    rng = random.Random(4)
+    fractional = 0
+    for _ in range(200):
+        pr = random_profile(rng, primes=(2, 3, 5), e_range=(1, 4))
+        for n in range(pr.r[0] + 30):
+            vals, top = jays(pr, n)
+            for k, v in enumerate(vals):
+                want = Fraction(0)
+                if n % pr.p ** k == 0 and n > pr.r[k]:
+                    want = Fraction(n - pr.r[k], pr.p ** k)
+                assert v == want and isinstance(v, Fraction) == \
+                    (want.denominator != 1), (pr, n, k)
+                fractional += isinstance(v, Fraction)
+            assert type(top) is int and top == max(vals)
+    assert fractional
+
+
 def test_n_prime():
     pr = PAPER_PROFILE
     assert n_prime(pr, 1) == 9
