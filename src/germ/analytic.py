@@ -331,7 +331,7 @@ def truncation_target(prof: InvariantProfile) -> int:
     return min_trunc(prof) - 1
 
 
-def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
+def conjugacy_to_truncation(f: Germ1D, order):
     """Solve Phi o f = f~ o Phi where f~ is the truncation of f at the
     certified order; phi_n is computed for n <= ``order``.
 
@@ -362,9 +362,7 @@ def conjugacy_to_truncation(f: Germ1D, order, verify_order=None):
     target_unit = list(unit[: n_tilde + 1])
     phis, transcript = solve_prescribed(dom, prof, unit, j_hi, target_unit)
     phi = Series(dom, phis, j_hi)
-    vo = verify_order
-    if vo is None:
-        vo = min(step * (d + n_hi), max(x_star + 2 * step, 48))
+    vo = min(step * (d + n_hi), max(x_star + 2 * step, 48))
     tgt = target_germ(dom, m, d, target_unit, x_star).series.extended(vo)
     report = verify_conjugacy(Germ1D(dom, src), Germ1D(dom, tgt),
                               phi.shift(1), vo)

@@ -21,7 +21,7 @@ from .analytic import (
     truncation_target,
     tval,
 )
-from .errors import CheckFailed, GermError, ParseError, ValidationError
+from .errors import CheckFailed, GermError, ParseError
 from .fields import is_prime
 from .invariants import (
     InvariantProfile,
@@ -92,10 +92,7 @@ def cmd_normalize(args):
 
 def cmd_bottcher(args):
     f = jsonio.germ_from_dict(jsonio.load(args.germ))
-    try:
-        wit = bottcher_product(f, trunc=args.order)
-    except ValueError as exc:  # the germ is not of the shape the path needs
-        raise ValidationError(str(exc)) from exc
+    wit = bottcher_product(f, trunc=args.order)
     dom = f.dom
     out = {"schema": jsonio.SCHEMA, "command": "bottcher",
            "verified_order": wit.verified_order,
@@ -200,11 +197,7 @@ def cmd_jtable(args):
         d = args.p ** e
         if d * args.p ** args.m < 2:
             d *= 2 if args.p > 2 else 3
-    try:
-        prof = InvariantProfile(args.p, args.m, d, e, r)
-    except ValueError as exc:
-        raise ValidationError(f"no such profile: {exc}") from exc
-    table = JTable.build(prof, args.nmax)
+    table = JTable.build(InvariantProfile(args.p, args.m, d, e, r), args.nmax)
     _write_text(args, table.to_tsv())
     return 0
 

@@ -24,7 +24,7 @@ class DivisionByZero(GermError):
 
 
 class IncompatibleFields(GermError):
-    """Operands live in fields with no embedding along the tower."""
+    """Operands over fields with no embedding, or series over two domains."""
 
 
 class NoRootInField(GermError):
@@ -104,8 +104,8 @@ class ParseError(GermError):
     """Input file failed to parse."""
 
 
-class ValidationError(GermError):
-    """Parsed input failed validation against the command."""
+class ValidationError(GermError, ValueError):
+    """An argument or parsed input is outside what the call accepts."""
 
 
 # -- failed checks ---------------------------------------------------------

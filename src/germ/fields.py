@@ -26,6 +26,7 @@ from .errors import (
     IncompatibleFields,
     NoRootInField,
     ReducibleModulus,
+    ValidationError,
 )
 
 FIELD_CAP = 2 ** 64
@@ -790,7 +791,7 @@ class Field:
 
     def from_vec(self, vec):
         if len(vec) > self.k:
-            raise ValueError("coefficient vector longer than extension degree")
+            raise ValidationError("vector longer than the extension degree")
         return self._encode(list(vec) + [0] * (self.k - len(vec)))
 
     def rand(self, rng):
@@ -864,7 +865,7 @@ class Field:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
     def __repr__(self):
-        return f"Field(p={self.p}, k={self.k})"
+        return f"Field(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
 
 
 def field_create(p, k, modulus=None):
@@ -876,7 +877,7 @@ def field_create(p, k, modulus=None):
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
     if k < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise ValidationError("extension degree must be >= 1")
     if p ** k > FIELD_CAP:
         raise FieldTooLarge(f"{p}^{k} exceeds the configured cap 2^64")
     if modulus is None:
@@ -938,7 +939,7 @@ def _field_roots(field, coeffs, rng):
     """Distinct roots (codes) of the code-coefficient polynomial in field."""
     f = _strip(list(coeffs))
     if not f:
-        raise ValueError("zero polynomial")
+        raise ValidationError("zero polynomial")
     roots = []
     if len(f) > 1 and f[0] == 0:
         roots.append(0)
@@ -1003,7 +1004,7 @@ def poly_roots(coeffs, allow_extension=False):
     """
     coeffs = list(coeffs)
     if not coeffs or all(c.code == 0 for c in coeffs):
-        raise ValueError("not all coefficients may be zero")
+        raise ValidationError("not all coefficients may be zero")
     base = max((c.field for c in coeffs), key=lambda f: f.k)
     codes = [c.embed(base).code for c in coeffs]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeTooSmall, InsufficientPrecision
+from .errors import DegreeTooSmall, InsufficientPrecision, ValidationError
 from .series import Germ1D, Series, nu_p
 
 
@@ -27,18 +27,18 @@ class InvariantProfile:
 
     def __post_init__(self):
         if self.d * self.p ** self.m < 2:
-            raise ValueError("profile is not superattracting: d*p^m < 2")
+            raise ValidationError("profile is not superattracting: d*p^m < 2")
         if self.e != int(nu_p(self.p, self.d)):
-            raise ValueError("e must equal nu_p(d)")
+            raise ValidationError("e must equal nu_p(d)")
         if len(self.r) != self.e + 1:
-            raise ValueError("r must have length e+1")
+            raise ValidationError("r must have length e+1")
         if self.r[-1] != 0:
-            raise ValueError("r_e must be 0")
+            raise ValidationError("r_e must be 0")
         if any(self.r[u] < self.r[u + 1] for u in range(self.e)):
-            raise ValueError("r must be non-increasing")
+            raise ValidationError("r must be non-increasing")
         for u in range(1, self.e):
             if self.r[u] < self.r[u - 1] and nu_p(self.p, self.r[u]) != u:
-                raise ValueError(f"fresh drop r_{u} must have nu_p = {u}")
+                raise ValidationError(f"fresh drop r_{u} must have nu_p = {u}")
 
     def to_dict(self):
         return {"m": self.m, "d": self.d, "e": self.e, "r": list(self.r)}
@@ -189,7 +189,7 @@ class JTable:
 def stable_threshold(prof: InvariantProfile) -> Fraction:
     """max_{k>=1} (r_0 - r_k)/(p^k - 1); fibers above it are singletons."""
     if prof.e < 1:
-        raise ValueError("threshold needs e >= 1")
+        raise ValidationError("threshold needs e >= 1")
     p = prof.p
     return max(Fraction(prof.r[0] - prof.r[k], p ** k - 1)
                for k in range(1, prof.e + 1))
@@ -222,7 +222,7 @@ def compose_bound(prof1: InvariantProfile, prof2: InvariantProfile):
     first) and prof2 = profile(f'').  m, d, e are exact; each r_u is a lower
     bound, flagged "certain" when forced (unique minimiser, or u in {0, e})."""
     if prof1.p != prof2.p:
-        raise ValueError("profiles over different characteristics")
+        raise ValidationError("profiles over different characteristics")
     p = prof1.p
     m = prof1.m + prof2.m
     d = prof1.d * prof2.d
@@ -255,7 +255,7 @@ class IterateFragment:
 def iterate_profile(prof: InvariantProfile, n: int) -> IterateFragment:
     """Invariants of the n-th iterate: exact big-integer formulas."""
     if n < 1:
-        raise ValueError("iterate count must be >= 1")
+        raise ValidationError("iterate count must be >= 1")
     dn = prof.d ** n
     if prof.e >= 1:
         r0 = prof.r[0] * (dn - 1) // (prof.d - 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .analytic import LaurentDomain, LaurentScalar
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .fields import Field, field_create
 from .multidim import MultiGerm, MultiSeries
 from .series import Germ1D, Series
@@ -93,11 +93,7 @@ def germ_to_dict(f: Germ1D):
 
 def germ_from_dict(d):
     field = field_from_dict(d.get("field", {}))
-    s = series_from_dict(field, d.get("series", {}))
-    try:
-        return Germ1D(field, s)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Germ1D(field, series_from_dict(field, d.get("series", {})))
 
 
 def scalar_to_dict(dom, x: LaurentScalar):
@@ -135,10 +131,7 @@ def laurent_germ_from_dict(d):
     dom = LaurentDomain(base, prec)
     coeffs, trunc = _series_body(d.get("series", {}))
     s = Series(dom, [scalar_from_dict(dom, c) for c in coeffs], trunc)
-    try:
-        return Germ1D(dom, s)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Germ1D(dom, s)
 
 
 def multiseries_to_dict(field, s: MultiSeries):

@@ -198,7 +198,7 @@ class _Engine:
         self.choice_points.append(count)
         idx = self.prefix[pos] if pos < len(self.prefix) else 0
         if idx >= count:
-            raise ValueError("choice prefix out of range")
+            raise ValidationError("choice prefix out of range")
         return idx
 
     def _register_eps(self, i, value, record=True):
@@ -545,8 +545,7 @@ def normalize_unit(f: Germ1D):
     for c in s.coeffs:
         out.append(dom.mul(lam_pow, emb(c)))
         lam_pow = dom.mul(lam_pow, lam)
-    g = Germ1D(dom, Series(dom, out, s.trunc), normalization=lam)
-    return g, lam, dom
+    return Germ1D(dom, Series(dom, out, s.trunc)), lam, dom
 
 
 def min_trunc(prof: InvariantProfile) -> int:
@@ -747,14 +746,14 @@ def bottcher_product(f: Germ1D, trunc=64):
     if d < 2:
         # the truncated product does not stabilize formally when d = 1;
         # the fiber recursion (normal_form) covers that case
-        raise ValueError("bottcher_product needs d >= 2")
+        raise ValidationError("bottcher_product needs d >= 2")
     j_hi = trunc - 1
     step = p ** m
     src = f.series.extended(step * (d + j_hi))
     g, _ = Germ1D(dom, src).split()
     du = g.ord()
     if not dom.is_zero(dom.sub(g.coeffs[du], dom.one)):
-        raise ValueError("bottcher_product needs the unit-normalized germ")
+        raise ValidationError("bottcher_product needs a unit-normalized germ")
     t_y = g.trunc - d
     u = Series(dom, g.coeffs[d:], t_y)
     eps = u - Series.one(dom, t_y)

@@ -26,8 +26,10 @@ import math
 
 from .errors import (
     CompositionWithUnit,
+    IncompatibleFields,
     NonUnitReciprocal,
     PadicObstruction,
+    ValidationError,
     ZeroToPrecision,
 )
 
@@ -42,6 +44,13 @@ def nu_p(p, n):
         n //= p
         v += 1
     return v
+
+
+# operands share one coefficient domain object; no embedding is attempted
+def _same_dom(a, b):
+    if b.dom is not a.dom:
+        raise IncompatibleFields(
+            f"series over different domains: {a.dom!r} and {b.dom!r}")
 
 
 class Series:
@@ -135,6 +144,7 @@ class Series:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
+        _same_dom(self, other)
         t = min(self.trunc, other.trunc)
         add = self.dom.add
         return Series(self.dom,
@@ -142,6 +152,7 @@ class Series:
                        zip(self.coeffs[: t + 1], other.coeffs[: t + 1])], t)
 
     def __sub__(self, other):
+        _same_dom(self, other)
         t = min(self.trunc, other.trunc)
         sub = self.dom.sub
         return Series(self.dom,
@@ -153,6 +164,7 @@ class Series:
         return Series(self.dom, [neg(a) for a in self.coeffs], self.trunc)
 
     def mul(self, other, trunc=None):
+        _same_dom(self, other)
         dom = self.dom
         o1, o2 = self.ord_floor(), other.ord_floor()
         t = min(self.trunc + o2, other.trunc + o1)
@@ -200,7 +212,7 @@ class Series:
         the factor f**(p**s) is an exact coefficientwise Frobenius dilation."""
         dom = self.dom
         if h < 0:
-            raise ValueError("negative power")
+            raise ValidationError("negative power")
         t = self.trunc if trunc is None else trunc
         if h == 0:
             return Series.one(dom, t)
@@ -245,6 +257,7 @@ class Series:
 
     def compose(self, inner, trunc=None):
         """self(inner); needs ord(inner) >= 1."""
+        _same_dom(self, inner)
         dom = self.dom
         og = inner.ord_floor()
         if og < 1:
@@ -298,6 +311,7 @@ class Series:
         """Smallest index where the two series provably disagree, or None up to
         the common truncation.  Differences that vanish to the coefficient
         precision cannot witness a disagreement."""
+        _same_dom(self, other)
         dom = self.dom
         vanishes = dom.is_zero_to_prec
         t = min(self.trunc, other.trunc)
@@ -310,7 +324,7 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.trunc == other.trunc and
+        return (self.dom is other.dom and self.trunc == other.trunc and
                 self.agree_order(other) is None)
 
     def __repr__(self):
@@ -406,7 +420,7 @@ def binomial_pow(u, a, b):
     w = u - out
     ow = w.ord_floor()
     if ow < 1:
-        raise ValueError("binomial_pow needs u(0) = 1")
+        raise ValidationError("binomial_pow needs u(0) = 1")
     coeffs = binomial_coeffs(dom, a, b, t + 1)
     acc = None
     for n in range(1, t + 1):
@@ -424,7 +438,7 @@ def revert(f):
     dom = f.dom
     t = f.trunc
     if f.ord() != 1:
-        raise ValueError("reversion needs order of vanishing exactly 1")
+        raise ValidationError("reversion needs order of vanishing exactly 1")
     inv1 = dom.inv(f.coeffs[1])
     g = [dom.zero, inv1]
     powers = [None, f]
@@ -443,17 +457,17 @@ def revert(f):
 class Germ1D:
     """A superattracting germ: x-series with zero constant term, ord >= 2."""
 
-    __slots__ = ("dom", "series", "normalization")
+    __slots__ = ("dom", "series")
 
-    def __init__(self, dom, series, normalization=None):
+    def __init__(self, dom, series):
         if not dom.is_zero(series.coeff(0)):
-            raise ValueError("germ must fix 0")
+            raise ValidationError("germ must fix 0")
         o = series.ord()  # raises ZeroToPrecision when undetectable
         if o < 2:
-            raise ValueError(f"not superattracting: order of vanishing {o}")
+            raise ValidationError(
+                f"not superattracting: order of vanishing {o}")
         self.dom = dom
         self.series = series
-        self.normalization = normalization
 
     def split(self):
         """(g, m) with f = g(x**(p**m)) and g' not identically zero."""

@@ -219,6 +219,16 @@ def test_laurent_roundtrip(tmp_path):
 _FIELD3 = {"p": 3, "k": 1, "modulus": [0, 1]}
 _SERIES = {"trunc": 20, "coeffs": [[0], [0], [0], [1], [1]]}
 _GERM = {"field": _FIELD3, "series": _SERIES}
+# x^2 + x^3 over F_3 and F_5, a x^2 + (1 + a) x^3 over F_9, and the identity
+# and x + a x^2 as conjugacies
+_GERM3 = {"field": _FIELD3, "series": {"trunc": 20,
+                                       "coeffs": [[0], [0], [1], [1]]}}
+_GERM5 = dict(_GERM3, field={"p": 5, "k": 1, "modulus": [0, 1]})
+_GERM9 = {"field": {"p": 3, "k": 2}, "series": {
+    "trunc": 20, "coeffs": [[0, 0], [0, 0], [0, 1], [1, 1]]}}
+_PHI3 = {"field": _FIELD3, "series": {"trunc": 24, "coeffs": [[0], [1]]}}
+_PHI9 = {"field": {"p": 3, "k": 2}, "series": {
+    "trunc": 24, "coeffs": [[0, 0], [1, 0], [0, 1]]}}
 
 
 _BAD_INPUTS = [
@@ -253,6 +263,15 @@ _BAD_INPUTS = [
      {"f": dict(_GERM, series={"trunc": 20,
                                "coeffs": [[0], [0], [2], [1]]})},
      ["bottcher", "{f}"]),
+    ("conjcheck-over-two-characteristics",
+     {"f": _GERM3, "g": _GERM5, "phi": _PHI3},
+     ["conjcheck", "{f}", "{g}", "{phi}"]),
+    ("conjcheck-phi-over-extension",
+     {"f": _GERM3, "phi": _PHI9}, ["conjcheck", "{f}", "{f}", "{phi}"]),
+    ("compose-over-extension", {"f": _GERM3, "g": _GERM9},
+     ["compose", "{f}", "{g}"]),
+    ("compose-over-two-characteristics", {"f": _GERM3, "g": _GERM5},
+     ["compose", "{f}", "{g}"]),
 ]
 
 
@@ -278,8 +297,7 @@ def _failed_oracle(*args):
 
 _MULTIGERM = {"N": 2, "field": _FIELD3, "C": [[1], [1]],
               "D": [[2, 1], [0, 2]], "trunc": 12, "eps": [{"1,0": [1]}, {}]}
-_BOTTCHER_GERM = dict(_GERM, series={"trunc": 20, "coeffs": [[0], [0], [1],
-                                                              [1]]})
+_BOTTCHER_GERM = _GERM3
 
 # (id, input files, argv, forced failure as (object, name, replacement),
 # exit code): 1 for bad input, 2 when a computed result fails its check

@@ -16,9 +16,12 @@ from germ_testutil import schoolbook_add_shifted, schoolbook_conv
 FIELDS = [
     (2, 1), (3, 1), (5, 1),          # prime fields
     (2, 2), (3, 2), (2, 8), (3, 3),  # table fields
+    (3, 6),                          # odd-p table field, no addition table
     (2, 16),                         # the largest table field
     (65537, 1),                      # table-free, digits wider than a byte
     (3, 11),                         # table-free extension, q = 177147
+    (3, 27),                         # table-free extension of high degree
+    (257, 2),                        # table-free, two-byte digits, k > 1
     (2 ** 61 - 1, 1),                # slots wider than a machine word
 ]
 

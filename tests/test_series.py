@@ -4,8 +4,8 @@ import random
 import pytest
 
 from germ.analytic import LaurentDomain
-from germ.errors import (CompositionWithUnit, NonUnitReciprocal,
-                         PadicObstruction, ZeroToPrecision)
+from germ.errors import (CompositionWithUnit, IncompatibleFields,
+                         NonUnitReciprocal, PadicObstruction, ZeroToPrecision)
 from germ.fields import field_create
 from germ.series import (Germ1D, Series, binomial_pow, nu_p, revert,
                          split_frobenius)
@@ -254,6 +254,17 @@ def test_revert():
     g = revert(f)
     assert g.compose(f).agree_order(Series.identity(F9, T)) is None
     assert f.compose(g).agree_order(Series.identity(F9, T)) is None
+
+
+def test_series_over_different_fields_are_refused():
+    # F_3 codes read as F_9 codes would be silently wrong; nothing embeds
+    a = Series.from_ints(F3, [0, 0, 1, 1], 8)
+    b = Series(F9, [0, 0, F9.from_vec((0, 1)), F9.from_vec((1, 1))], 8)
+    with pytest.raises(IncompatibleFields):
+        a.mul(b)
+    with pytest.raises(IncompatibleFields):
+        a.compose(b)
+    assert a != b
 
 
 def test_germ_validation():
