@@ -74,18 +74,33 @@ def _rstrip(digits):
     return digits[:n]
 
 
-class LaurentDomain:
-    """Coefficient domain F_q((t)) truncated to ``prec`` trusted t-digits."""
+_DOMAINS = {}
 
-    def __init__(self, base_field, prec=32):
-        self.base = base_field
-        self.p = base_field.p
-        self.prec = prec
-        # every unit has this type: codes fit a byte when q <= 256
-        self._unit = unit = bytes if base_field.q <= 256 else tuple
-        self._empty = unit()
-        self.zero = LaurentScalar(_INF, self._empty, None)
-        self.one = LaurentScalar(0, unit((base_field.one,)), None)
+
+class LaurentDomain:
+    """Coefficient domain F_q((t)) truncated to ``prec`` trusted t-digits.
+
+    Domains are canonical, as fields are: ``LaurentDomain(base, prec)``
+    returns one shared descriptor per (base field, prec), so series built
+    over equal domains are over the same domain.
+    """
+
+    def __new__(cls, base_field, prec=32):
+        dom = _DOMAINS.get((base_field, prec))
+        if dom is None:
+            dom = _DOMAINS[base_field, prec] = super().__new__(cls)
+            dom.base = base_field
+            dom.p = base_field.p
+            dom.prec = prec
+            # every unit has this type: codes fit a byte when q <= 256
+            dom._unit = unit = bytes if base_field.q <= 256 else tuple
+            dom._empty = unit()
+            dom.zero = LaurentScalar(_INF, dom._empty, None)
+            dom.one = LaurentScalar(0, unit((base_field.one,)), None)
+        return dom
+
+    def __repr__(self):
+        return f"LaurentDomain({self.base!r}, prec={self.prec})"
 
     # -- constructors -------------------------------------------------------
 

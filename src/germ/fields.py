@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-import sys
-from array import array
 
 from .errors import (
     CompositeP,
@@ -33,39 +31,9 @@ FIELD_CAP = 2 ** 64
 _TABLE_LIMIT = 1 << 16      # build exp/log tables up to this field size
 _ADD_TABLE_LIMIT = 256      # full addition tables only for tiny fields
 
-# array typecode for each unsigned item width in bytes, used to unpack the
-# byte-aligned slots of a Kronecker product in one pass
-_SLOT_TYPECODES = {}
-for _tc in "BHILQ":
-    _SLOT_TYPECODES.setdefault(array(_tc).itemsize, _tc)
-del _tc
-
 # byte v -> the numeral of v, so int(digits.translate(_NUMERALS)[::-1], p)
 # reads a little-endian digit string back into a code when p <= 36
 _NUMERALS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"0")
-
-
-def _slot_width(bound):
-    """Bytes per slot for slot values up to ``bound``: 1, 2, 4 or 8 when
-    that suffices, so an array unpacks the slots, else the exact count."""
-    width = bound.bit_length() + 7 >> 3
-    for size in (1, 2, 4, 8):
-        if width <= size:
-            return size
-    return width
-
-
-def _unpack_slots(raw, width):
-    """The unsigned little-endian ``width``-byte slots of ``raw``."""
-    typecode = _SLOT_TYPECODES.get(width)
-    if typecode is None:
-        return [int.from_bytes(raw[i: i + width], "little")
-                for i in range(0, len(raw), width)]
-    slots = array(typecode)
-    slots.frombytes(raw)
-    if sys.byteorder != "little":
-        slots.byteswap()
-    return slots
 
 
 def is_prime(n):
@@ -273,30 +241,33 @@ class _DigitTables:
     """Tables of base-p digits, built once per p by :func:`_digit_tables`
     and shared by every field and ring of characteristic p.
 
-    ``byte_mod`` and ``byte_neg`` take a byte v to v % p and -v % p
-    (p < 256), for ``bytes.translate``.  When p <= 100 a chunk is the
-    ``chunk_len`` = c digits with p**c <= 100: ``chunk`` is p**c,
-    ``chunk_digits[x]`` the c digit bytes of the chunk code x, and
-    ``chunk_add[x][y]`` and ``chunk_neg[x]`` their digit-wise sum and
-    negation, built on first use, so the sum table holds at most 10**4
-    entries however large p**k is.  Above 100 ``chunk`` is None.
+    For ``bytes.translate`` (p < 256): ``byte_mod``, ``byte_neg`` and
+    ``planes[i]`` take a byte v to v % p, -v % p and v // p**i % p, for
+    the p**(i+1) <= 256; ``plane_digits[x]`` are the digits of x below
+    p**len(planes).  When p <= 100, ``chunk_add`` and ``chunk_neg`` add and
+    negate chunks of ``chunk_len`` = c digits, ``chunk`` = p**c <= 100, so
+    the sum table, built on first use, holds at most 10**4 entries however
+    large p**k is; above 100 ``chunk`` is None.
     """
 
     def __init__(self, p):
         self.p = p
         self.byte_mod = self.byte_neg = None
+        self.planes = []
         if p < 256:
             self.byte_mod = bytes(v % p for v in range(256))
             self.byte_neg = bytes(-v % p for v in range(256))
-        self.chunk = self.chunk_digits = None
+            while p ** (len(self.planes) + 1) <= 256:
+                w = p ** len(self.planes)
+                self.planes.append(bytes(v // w % p for v in range(256)))
+        self.plane_digits = [bytes(plane[x] for plane in self.planes)
+                             for x in range(p ** len(self.planes))]
+        self.chunk = None
         if p <= 100:
             self.chunk_len = 1
             while p ** (self.chunk_len + 1) <= 100:
                 self.chunk_len += 1
             self.chunk = p ** self.chunk_len
-            self.chunk_digits = [
-                bytes(x // p ** i % p for i in range(self.chunk_len))
-                for x in range(self.chunk)]
 
     @functools.cached_property
     def chunk_add(self):
@@ -310,51 +281,59 @@ class _DigitTables:
 _digit_tables = functools.cache(_DigitTables)
 
 
+@functools.cache
+def _byte_weight(p, j):
+    """The translate table of byte j of a slot: v -> v * 256**j % p."""
+    return bytes(v * pow(256, j, p) % p for v in range(256))
+
+
 class _FoldProduct:
-    """Products of codes modulo a monic f of degree n >= 2 over Z_p, with no
-    table of the p**n residues.
+    """Products of codes modulo a monic f of degree n over Z_p, with no
+    table of the p**n residues: the packed-digit layer of the field kernel.
 
     A code packs the digit vector (c_0, ..., c_(n-1)) as sum(c_i * p**i).
-    The product spreads both digit vectors into ``width``-byte slots and
-    multiplies the two ints once; slot j then holds the digit sum of x**j.
-    Its 2n-1 slots are reduced mod p, and the slots of x**n .. x**(2n-2) are
-    folded back along ``fold``, the rows of their residues mod f packed the
-    same way.  No slot ever exceeds n*(p-1)**2, so nothing carries from
-    one slot into the next.  Any F_p-linear map is applied the same way,
-    from the packed images of 1, x, .., x**(n-1) (:meth:`linear`).
+    :meth:`planes` lays codes out in strides of 2n-1 slots, digit j of code
+    i in slot i*stride + j, and :meth:`spread` packs the slots into one
+    int; two such ints multiply once, each slot wide enough for its digit
+    sum.  :meth:`reduce` takes every slot mod p, :meth:`fold` folds slots
+    n .. 2n-2 of every stride back along ``fold_rows`` (x**n .. x**(2n-2)
+    mod f at ``width`` bytes a slot, enough for n*(p-1)**2) by
+    :meth:`along`, the step :meth:`linear` applies a matrix with, and
+    :meth:`codes` reads codes back.  One product is the case of one code a
+    side (:meth:`digits`, :meth:`code`).
     """
 
     def __init__(self, p, f):
         n = len(f) - 1
-        self.p, self.n = p, n
-        self.width = _slot_width(n * (p - 1) ** 2)
+        self.p, self.n, self.stride = p, n, 2 * n - 1
+        self.width = (n * (p - 1) ** 2).bit_length() + 7 >> 3
         self.tables = _digit_tables(p)
-        bits = 8 * self.width
-        top_slot = bits * (n - 1)
-        row = x_n = self.pack([(-c) % p for c in f[:n]])
-        self.fold = []
+        # codes are cut into chunks of ``span`` digits, a byte when p < 256
+        self.span = span = max(1, min(n, len(self.tables.planes)))
+        self.base = p ** span
+        self.span_weights = sum(p ** (span - 1 - i) << 8 * i
+                                for i in range(span))
+        row = x_n = [(-c) % p for c in f[:n]]
+        self.fold_rows = []
         for _ in range(n - 1):
-            self.fold.append(row)
-            # times x: up one slot, the slot of x**n folded back
-            top = row >> top_slot
-            row = (row - (top << top_slot)) << bits
-            if top:
-                row = self.pack(self.reduce(row + top * x_n, n))
+            self.fold_rows.append(self.spread(row, self.width))
+            # times x: up one digit, the digit of x**n folded back
+            row = [(lo + row[-1] * c) % p for lo, c in zip([0] + row, x_n)]
 
     def digits(self, code):
         """The n digits of a code, low first: bytes when p < 256."""
-        tabs, n = self.tables, self.n
-        if tabs.chunk is None:
-            out = []
+        out, n = [], self.n
+        if self.p >= 256:
             for _ in range(n):
                 code, d = divmod(code, self.p)
                 out.append(d)
-            return bytes(out) if self.p < 256 else out
-        size, chunk_digits, parts = tabs.chunk, tabs.chunk_digits, []
+            return out
+        plane_digits = self.tables.plane_digits
+        size = len(plane_digits)
         while code:
             code, x = divmod(code, size)
-            parts.append(chunk_digits[x])
-        return b"".join(parts).ljust(n, b"\0")[:n]
+            out.append(plane_digits[x])
+        return b"".join(out).ljust(n, b"\0")[:n]
 
     def code(self, digits):
         """The code of a digit sequence (values below p), low first."""
@@ -366,61 +345,127 @@ class _FoldProduct:
             code = code * p + d
         return code
 
-    def pack(self, digits):
-        """The digits as one int, digit i in slot i."""
-        width = self.width
+    def pack(self, code):
+        return self.spread(self.digits(code), self.width)
+
+    def spread(self, digits, width):
+        """One int holding digits[i] in the i-th slot of ``width`` bytes."""
         if width == 1:
             return int.from_bytes(digits, "little")
+        if self.p >= 256:
+            return int.from_bytes(b"".join(d.to_bytes(width, "little")
+                                           for d in digits), "little")
         buf = bytearray(len(digits) * width)
-        if self.p < 256:
-            buf[::width] = digits
-        else:
-            for byte in range((self.p - 1).bit_length() + 7 >> 3):
-                buf[byte::width] = bytes(d >> 8 * byte & 255 for d in digits)
+        buf[::width] = digits
         return int.from_bytes(buf, "little")
 
-    def reduce(self, x, count):
-        """The ``count`` slots of x, each reduced mod p: bytes when p < 256."""
-        width = self.width
-        raw = x.to_bytes(count * width, "little")
+    def planes(self, codes, stride):
+        """Digit j of codes[i] in slot i*stride + j, zeros elsewhere: bytes
+        when p < 256, where each digit of a chunk is one translate."""
+        p, n, span = self.p, self.n, self.span
+        out = bytearray(len(codes) * stride) if p < 256 else \
+            [0] * (len(codes) * stride)
+        for j in range(0, n, span):
+            chunk = codes if n <= span else \
+                [c // p ** j % self.base for c in codes]
+            if p >= 256:
+                out[j::stride] = chunk
+                continue
+            chunk = bytes(chunk)
+            for i, plane in enumerate(self.tables.planes[: n - j]):
+                out[j + i::stride] = chunk.translate(plane)
+        return out
+
+    def reduce(self, x, count, width):
+        """The first ``count`` width-byte slots of x, each mod p: bytes when
+        p < 256.  For p <= 128, byte j of each slot becomes its weight mod
+        p by a translate, and the weights sum in a byte, reduced by one more
+        translate whenever the next could overflow it."""
+        size = count * width
+        if x.bit_length() > 8 * size:
+            x &= (1 << 8 * size) - 1
+        raw = x.to_bytes(size, "little")
         if width == 1:
             return raw.translate(self.tables.byte_mod)
-        p = self.p
-        digits = [v % p for v in _unpack_slots(raw, width)]
-        return bytes(digits) if p < 256 else digits
+        p, byte_mod = self.p, self.tables.byte_mod
+        if p > 128:
+            digits = [int.from_bytes(raw[i: i + width], "little") % p
+                      for i in range(0, size, width)]
+            return bytes(digits) if p < 256 else digits
+        acc = top = 0       # top: the largest a byte of acc can hold
+        for j in range(width):
+            if top + p > 256:
+                acc = int.from_bytes(acc.to_bytes(count, "little").translate(
+                    byte_mod), "little")
+                top = p - 1
+            acc += int.from_bytes(
+                raw[j::width].translate(_byte_weight(p, j)), "little")
+            top += p - 1
+        return acc.to_bytes(count, "little").translate(byte_mod)
 
-    def _combine(self, acc, digits, cols):
-        """The digits of acc + sum(d * col), acc and the cols packed."""
-        for d, col in zip(digits, cols):
-            if d:
-                acc += d * col
-        return self.reduce(acc, self.n)
+    def along(self, whole, rows, first, ones):
+        """The sum over e of rows[e] times slot first + e of every stride of
+        the packed int whole, each stride's foot marked by a 1 in ones."""
+        bits = 8 * self.width
+        slot, acc = ones * ((1 << bits) - 1), 0
+        for e, row in enumerate(rows, first):
+            acc += (whole >> bits * e & slot) * row
+        return acc
 
-    def _times(self, x, y):
-        """The digits of the residue of x * y, for x and y packed."""
-        n = self.n
-        slots = self.reduce(x * y, 2 * n - 1)
-        return self._combine(self.pack(slots[:n]), slots[n:], self.fold)
+    def fold(self, digits, count, stride):
+        """Reduced digits, slots n .. 2n-2 of every stride folded back into
+        slots 0 .. n-1 and zeroed, up to slot n-1 of the last stride."""
+        n, width = self.n, self.width
+        if n == 1:
+            return digits
+        whole = self.spread(digits, width)
+        ones = int.from_bytes(b"\1".ljust(stride * width, b"\0") * count,
+                              "little")
+        acc = whole & ones * ((1 << 8 * width * n) - 1)
+        acc += self.along(whole, self.fold_rows, n, ones)
+        return self.reduce(acc, (count - 1) * stride + n, width)
+
+    def codes(self, digits, count, stride):
+        """The codes of folded digits, one a stride: bytes when q <= 256.
+        Times ``span_weights`` every slot holds the code of the ``span``
+        digits that end there, so a code is read as ceil(n/span) bytes."""
+        n, span = self.n, self.span
+        if span > 1:
+            digits = (int.from_bytes(digits, "little") * self.span_weights
+                      ).to_bytes(count * stride, "little")
+        chunks = [digits[j + span - 1::stride] for j in range(0, n, span)]
+        out = chunks.pop()
+        for chunk in reversed(chunks):
+            out = [c * self.base + d for c, d in zip(out, chunk)]
+        return out
+
+    def product(self, x, y, count, stride, width):
+        """The folded digits of the first ``count`` strides of x * y."""
+        return self.fold(self.reduce(x * y, count * stride, width), count,
+                         stride)
 
     def mul(self, a, b):
-        return self.code(self._times(self.pack(self.digits(a)),
-                                     self.pack(self.digits(b))))
+        return self.code(self.product(self.pack(a), self.pack(b), 1,
+                                      self.stride, self.width))
 
     def pow(self, a, e):
         """a**e by squaring, packed from the first product to the last."""
-        x, r = self.pack(self.digits(a)), None
+        stride, width = self.stride, self.width
+        x, r = self.pack(a), None
         while e:
             if e & 1:
-                r = x if r is None else self.pack(self._times(r, x))
+                r = x if r is None else self.spread(
+                    self.product(r, x, 1, stride, width), width)
             e >>= 1
             if e:
-                x = self.pack(self._times(x, x))
-        return 1 if r is None else self.code(self.reduce(r, self.n))
+                x = self.spread(self.product(x, x, 1, stride, width), width)
+        return 1 if r is None else self.code(self.reduce(r, self.n, width))
 
     def linear(self, cols, a):
         """The image of code a under the F_p-linear map that takes x**i to
         the residue packed in cols[i]."""
-        return self.code(self._combine(0, self.digits(a), cols))
+        return self.code(self.reduce(self.along(self.pack(a), cols, 0, 1),
+                                     self.n, self.width))
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +500,16 @@ class Field:
         self._emb = {}
         self._frob = {}     # m -> codes and packed slots of the basis images
         self._digits = _digit_tables(p)
-        self._ring = _FoldProduct(p, self.modulus) if k > 1 else None
-        self._fold = [list(self._ring.reduce(row, k))
-                      for row in self._ring.fold] if k > 1 else []
+        self._ring = _FoldProduct(p, self.modulus)
         self._build_tables()
 
     # -- construction helpers ----------------------------------------------
 
     def _encode(self, vec):
-        if self.k == 1:
-            return vec[0] % self.p
         return self._ring.code([c % self.p for c in vec])
 
     def _decode(self, code):
-        return list(self._ring.digits(code)) if self.k > 1 else [code]
+        return list(self._ring.digits(code))
 
     def _raw_mul(self, a, b):
         """Table-free multiplication; used to bootstrap the tables."""
@@ -622,21 +663,16 @@ class Field:
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of the code lists a, b.
 
-        Kronecker substitution: every x-coefficient becomes 2k-1 byte-aligned
-        slots holding its alpha-digits, each operand is packed into one int
-        and the two are multiplied once.  A slot is wide enough for the
-        largest digit sum min(len)*k*(p-1)**2, so the product's slots are the
-        exact digit sums of the polynomial product.  Unpacking reduces them
-        mod p after folding alpha**k .. alpha**(2k-2) back along the modulus.
-        Over F_p, when one-byte slots suffice, the codes are the slots: each
-        operand packs straight from its bytes and one translate reduces the
-        product's slots; bytes operands then give bytes.
-
-        Packing and folding cost about k**2 steps per coefficient: over a
-        table field, a one-term operand scales the other through the exp/log
-        tables in one comprehension, and a shorter operand of fewer than k
-        terms, when the field adds in one step (p = 2 or an addition table),
-        measured faster summed term by term through the same tables.
+        Kronecker substitution through the packed-digit layer
+        (:class:`_FoldProduct`), slots wide enough for the largest digit sum
+        min(len)*k*(p-1)**2; bytes operands give bytes when q <= 256.  Three
+        branches, chosen by operand length, stay in front, each timed
+        faster than the layer on the operands the benchmark pool gives it:
+        over F_p with one-byte slots, the layer's stride-1, width-1 case
+        inline, for the many short Laurent products; over a table field, a
+        one-term operand scaled through the exp/log tables, and, when the
+        field adds in one step (p = 2 or an addition table), a shorter
+        operand of fewer than k terms summed term by term.
         """
         if n < 0:
             return []
@@ -678,51 +714,18 @@ class Field:
                         out[i + j] = add(out[i + j], exp[(lx + ly) % q1])
             return out
         m = min(n + 1, la + lb - 1)
-        stride = 2 * k - 1
-        width = _slot_width(min(la, lb) * k * (p - 1) ** 2)
-        prod = self._pack(a, la, stride, width) * \
-            self._pack(b, lb, stride, width)
-        raw = prod.to_bytes((la + lb - 1) * stride * width, "little")
-        slots = _unpack_slots(memoryview(raw)[: m * stride * width], width)
-        if k == 1:
-            out = [v % p for v in slots]
-        else:
-            cols = [slots[j::stride] for j in range(stride)]
-            digits = []
-            for i in range(k):
-                col = cols[i]
-                for e, row in enumerate(self._fold):
-                    r = row[i]
-                    if r:
-                        col = [v + r * w for v, w in zip(col, cols[k + e])]
-                digits.append(col)
-            out = [v % p for v in digits[-1]]
-            for col in reversed(digits[:-1]):
-                out = [c * p + v % p for c, v in zip(out, col)]
-        if m <= n:
-            out.extend([0] * (n + 1 - m))
+        ring = self._ring
+        stride = ring.stride
+        width = (min(la, lb) * k * (p - 1) ** 2).bit_length() + 7 >> 3
+        out = ring.codes(ring.product(
+            ring.spread(ring.planes(a[:la], stride), width),
+            ring.spread(ring.planes(b[:lb], stride), width),
+            m, stride, width), m, stride)
+        if type(out) is bytes:
+            out = out.ljust(n + 1, b"\0")
+            return out if as_bytes else list(out)
+        out.extend([0] * (n + 1 - m))
         return out
-
-    def _pack(self, codes, length, stride, width):
-        """codes[:length] as one int: alpha-digit j of x-coefficient i sits
-        in the width-byte slot i*stride + j."""
-        p = self.p
-        buf = bytearray(length * stride * width)
-        step = stride * width
-        digit_bytes = (p - 1).bit_length() + 7 >> 3
-        codes = codes[:length]
-        w = 1
-        for j in range(self.k):
-            digits = codes if self.k == 1 else [c // w % p for c in codes]
-            w *= p
-            if digit_bytes == 1:
-                buf[j * width::step] = bytes(digits)
-            else:
-                for byte in range(digit_bytes):
-                    shift = 8 * byte
-                    buf[j * width + byte::step] = bytes(
-                        d >> shift & 255 for d in digits)
-        return int.from_bytes(buf, "little")
 
     def pow(self, a, e):
         if e < 0:
@@ -747,9 +750,8 @@ class Field:
         return self.frob(a, -m % self.k)
 
     def _frob_images(self, m):
-        """The codes of (alpha**i)**(p**m) for i < k, and the same packed
-        as slot ints (None when k = 1): the columns of the Frobenius matrix,
-        found once per m mod k."""
+        """The codes of (alpha**i)**(p**m) for i < k, and the same packed as
+        slot ints: the columns of the Frobenius matrix, found once per m."""
         m %= self.k
         images = self._frob.get(m)
         if images is None:
@@ -757,10 +759,7 @@ class Field:
             codes = [1]
             for _ in range(self.k - 1):
                 codes.append(self.mul(codes[-1], beta))
-            packed = None
-            if self._ring is not None:
-                ring = self._ring
-                packed = [ring.pack(ring.digits(c)) for c in codes]
+            packed = [self._ring.pack(c) for c in codes]
             images = self._frob[m] = (codes, packed)
         return images
 

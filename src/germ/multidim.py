@@ -89,6 +89,8 @@ class MultiSeries:
         self.terms = {}
         if terms:
             for e, c in terms.items():
+                if min(e) < 0:
+                    raise ValidationError(f"negative exponent {e}")
                 if sum(e) <= trunc and not dom.is_zero(c):
                     self.terms[tuple(e)] = c
 

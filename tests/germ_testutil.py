@@ -1,10 +1,12 @@
 """Shared fuzz helpers and reference kernels for the test suite."""
 
+import collections
+import contextlib
 import math
 
 from germ.analytic import LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
-from germ.fields import field_create
+from germ.fields import Field, field_create
 from germ.series import Germ1D, Series
 
 
@@ -90,6 +92,49 @@ def schoolbook_add_shifted(field, lo, hi, off, n):
     for j, c in enumerate(hi[: max(n - off, 0)]):
         out[off + j] = field.add(out[off + j], c)
     return out
+
+
+def _reference_raw_mul(field, a, b):
+    # a prime field's product is its own reference: the schoolbook
+    # extension product multiplies over F_p through this very method
+    if field.k == 1:
+        return a * b % field.p
+    return schoolbook_field_mul(field, a, b)
+
+
+_REFERENCE_KERNELS = {
+    "conv": schoolbook_conv,
+    "add_shifted": schoolbook_add_shifted,
+    "_raw_mul": _reference_raw_mul,
+}
+
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Run every ``Field`` on the schoolbook references: ``conv``,
+    ``add_shifted`` and the table-free product ``_raw_mul``.
+
+    Yields a Counter of the calls each reference took, so a caller can
+    tell that the swap took effect.  The packed kernels are restored on
+    exit.  Tables built inside are the same as outside: they are filled
+    by products, which the references compute exactly.
+    """
+    calls = collections.Counter()
+    saved = {name: getattr(Field, name) for name in _REFERENCE_KERNELS}
+
+    def counted(name, ref):
+        def kernel(self, *args):
+            calls[name] += 1
+            return ref(self, *args)
+        return kernel
+
+    for name, ref in _REFERENCE_KERNELS.items():
+        setattr(Field, name, counted(name, ref))
+    try:
+        yield calls
+    finally:
+        for name, kernel in saved.items():
+            setattr(Field, name, kernel)
 
 
 # Laurent scalar ops as they were before the digit work moved into the Field

@@ -208,3 +208,16 @@ def test_rejects_e0():
     f, dom = laurent_germ({2: (0, [1]), 3: (0, [1])})
     with pytest.raises(ValidationError):
         conjugacy_to_truncation(f, order=20)
+
+
+def test_equal_laurent_domains_are_one_domain():
+    f9 = field_create(3, 2)
+    a, b = LaurentDomain(f9, 40), LaurentDomain(f9, prec=40)
+    assert a is b
+    assert LaurentDomain(f9, 41) is not a
+    assert LaurentDomain(F3, 40) is not a
+    two = Series.one(a, 3) + Series.one(b, 3)
+    assert two.dom is a
+    assert (two.coeffs[0].val, two.coeffs[0].unit) == (0, bytes([2]))
+    assert repr(a) == \
+        f"LaurentDomain(Field(p=3, k=2, modulus={list(f9.modulus)}), prec=40)"

@@ -253,6 +253,10 @@ _BAD_INPUTS = [
     ("ragged-matrix", {"f": {"field": _FIELD3, "N": 2, "C": [[1], [1]],
                              "D": [[2, 1], [0]], "eps": [{}, {}]}},
      ["multinorm", "{f}"]),
+    ("negative-multigerm-exponent",
+     {"f": {"field": _FIELD3, "N": 2, "C": [[1], [1]],
+            "D": [[2, 0], [0, 2]], "eps": [{"-1,2": [1]}, {}]}},
+     ["multinorm", "{f}", "--degree", "6"]),
     ("poly-vector-longer-than-k",
      {"f": {"field": _FIELD3, "coeffs": [[0], [2], [0], [1, 1]]}},
      ["infinity", "{f}"]),

@@ -170,3 +170,49 @@ def test_add_shifted_matches_schoolbook(p, k):
                 got = field.add_shifted(lo, hi, off, n)
                 assert got == schoolbook_add_shifted(field, lo, hi, off, n), \
                     (lo, hi, off, n)
+
+
+# long dense operands give the small table fields two-byte product slots,
+# and F_{7^12} needs two-byte fold slots (k(p-1)**2 = 432)
+@pytest.mark.parametrize("p,k,length", [(2, 2, 512), (3, 2, 512),
+                                        (7, 12, 24)])
+def test_conv_dense_long_operands(p, k, length):
+    field = field_create(p, k)
+    rng = random.Random(p * 7 + length)
+    a = [field.rand(rng) for _ in range(length)]
+    b = [field.rand(rng) for _ in range(length)]
+    for n in (length // 3, 2 * length - 2):
+        assert field.conv(a, b, n) == schoolbook_conv(field, a, b, n)
+    if k == 12:
+        assert field._ring.width == 2
+
+
+# Laurent units over fields of at most 256 elements are bytes with nonzero
+# end digits; every branch of conv must read them as it reads lists
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 2), (2, 8)])
+def test_conv_bytes_operands_match_lists(p, k):
+    field = field_create(p, k)
+    rng = random.Random(p * 13 + k)
+    for la, lb in ((1, 6), (2, 30), (k + 1, 40), (40, 40), (300, 200)):
+        a = [1] + [field.rand(rng) for _ in range(la - 2)] + [1] * (la > 1)
+        b = [field.q - 1] + [field.rand(rng) for _ in range(lb - 1)]
+        b[-1] = b[-1] or 1
+        for n in (0, la // 2, la + lb - 2, la + lb + 3):
+            want = schoolbook_conv(field, a, b, n)
+            assert field.conv(a, b, n) == want
+            assert list(field.conv(bytes(a), bytes(b), n)) == want
+
+
+# slots of three bytes over F_{97^2} and F_127 sum more weighted bytes than
+# one byte holds, so the sum is reduced on the way; above p = 128 every
+# slot is read as an int
+@pytest.mark.parametrize("p,k", [(97, 2), (127, 1), (131, 1), (251, 1)])
+def test_conv_wide_slots(p, k):
+    field = field_create(p, k)
+    rng = random.Random(p + k)
+    top = field.q - 1
+    for length in (2, 5, 40):
+        for a in ([top] * length, [field.rand(rng) for _ in range(length)]):
+            b = [top] * (length + 3)
+            for n in (length, 2 * length + 1):
+                assert field.conv(a, b, n) == schoolbook_conv(field, a, b, n)
