@@ -97,6 +97,9 @@ class LaurentDomain:
             dom._empty = unit()
             dom.zero = LaurentScalar(_INF, dom._empty, None)
             dom.one = LaurentScalar(0, unit((base_field.one,)), None)
+            # conv and dot accumulate packed where the field packs acc + x*y
+            # over units of prec digits
+            dom._packed_mod = base_field.packed_mod(prec)
         return dom
 
     def __repr__(self):
@@ -224,19 +227,119 @@ class LaurentDomain:
 
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of two coefficient
-        lists, by schoolbook: exact zeros are skipped and each output sums
-        its terms in increasing index of a, which fixes how precision is
-        tracked."""
-        add, mul, zero = self.add, self.mul, self.is_zero
-        out = [self.zero] * (n + 1)
-        terms = [(j, y) for j, y in enumerate(b[: n + 1]) if not zero(y)]
-        for i, x in enumerate(a[: n + 1]):
-            if zero(x):
-                continue
-            for j, y in terms:
-                if i + j > n:
-                    break
-                out[i + j] = add(out[i + j], mul(x, y))
+        lists: each output is the :meth:`dot` of its terms in increasing
+        index of a, exact zeros skipped, which fixes how precision is
+        tracked.  Each operand is read once."""
+        xs, ys = self._read(a[: n + 1]), self._read(b[: n + 1])
+        ys = [(j, y) for j, y in enumerate(ys) if y]
+        # packed: each output's terms, summed in one accumulate pass; else
+        # each term goes through mul and add in place
+        packed = self._packed_mod is not None
+        out = [[] for _ in range(n + 1)] if packed else [self.zero] * (n + 1)
+        add, mul = self.add, self.mul
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in ys:
+                    if i + j > n:
+                        break
+                    if packed:
+                        out[i + j].append((x, y))
+                    else:
+                        out[i + j] = add(out[i + j], mul(x, y))
+        return self._accumulate(out) if packed else out
+
+    def dot(self, pairs):
+        """The sum of x*y over the (x, y) pairs, added left to right with
+        exact zeros skipped: each partial sum is add(acc, mul(x, y))."""
+        read = self._read([z for pair in pairs for z in pair])
+        terms = [(x, y) for x, y in zip(read[::2], read[1::2]) if x and y]
+        if self._packed_mod is not None:
+            return self._accumulate([terms])[0]
+        add, mul, acc = self.add, self.mul, self.zero
+        for x, y in terms:
+            acc = add(acc, mul(x, y))
+        return acc
+
+    def _read(self, xs):
+        """Scalars as :meth:`conv` and :meth:`dot` take them, None for an
+        exact zero: over a packed domain (val, unit as a little-endian int,
+        unit length, prec), as :meth:`_accumulate` takes them."""
+        if self._packed_mod is None:
+            return [None if x.prec is None and not x.unit else x for x in xs]
+        frm = int.from_bytes
+        return [None if x.prec is None and not x.unit else
+                (x.val, frm(x.unit, "little"), len(x.unit), x.prec)
+                for x in xs]
+
+    def _accumulate(self, cells):
+        """Over a packed domain, for each cell of read (x, y) pairs, the sum
+        of x*y left to right, each partial sum exactly add(acc, mul(x, y)).
+
+        A term is one int product, masked to its prec as ``mul`` caps it,
+        added unreduced to the reduced sum so far: no byte slot carries, so
+        one translate reduces both.  The (val, prec) rules are ``mul``'s
+        then ``add``'s; ``_mk`` runs only off its fast path (a cancelled
+        leading digit, or the cap).
+        """
+        out = []
+        cap, mod, frm = self.prec, self._packed_mod, int.from_bytes
+        for terms in cells:
+            acc = None                              # exact zero
+            for (xv, xi, xl, xp), (yv, yi, yl, yp) in terms:
+                v = xv + yv
+                if not xl or not yl:                # O(t^v)
+                    pi = pl = pp = 0
+                else:
+                    pi, pl = xi * yi, xl + yl - 1
+                    if xp is None and yp is None:
+                        pp = None if pl <= cap else cap
+                    else:
+                        pp = cap
+                        if xp is not None and xp < pp:
+                            pp = xp
+                        if yp is not None and yp < pp:
+                            pp = yp
+                    if pp is not None and pl > pp:
+                        pi &= (1 << 8 * pp) - 1
+                        pl = pp
+                if acc is None:
+                    acc = v, pi.to_bytes(pl, "little").translate(mod) \
+                        .rstrip(b"\0"), pp
+                    continue
+                av, au, ap = acc
+                ai, al = frm(au, "little"), len(au)
+                # s spans top digits from t^lo; an exact sum keeps them all
+                if av <= v:
+                    lo, off = av, v - av
+                    s = ai + (pi << 8 * off)
+                    top = off + pl if off + pl > al else al
+                else:
+                    lo, off = v, av - v
+                    s = pi + (ai << 8 * off)
+                    top = off + al if off + al > pl else pl
+                if ap is None and pp is None:
+                    ln, prec = top, None
+                    fast = ln <= cap
+                else:
+                    end = _INF if ap is None else av + ap
+                    if pp is not None and v + pp < end:
+                        end = v + pp
+                    ln = prec = end - lo
+                    if ln <= 0:
+                        acc = end, self._empty, 0
+                        continue
+                    if ln > cap:
+                        ln = cap
+                    fast = prec <= cap
+                digits = s.to_bytes(top if top > ln else ln, "little")[:ln] \
+                    .translate(mod)
+                if fast and digits[0]:
+                    acc = lo, digits.rstrip(b"\0"), prec
+                else:
+                    acc = self._mk(lo, digits, prec)
+                    acc = None if self.is_zero(acc) else \
+                        (acc.val, acc.unit, acc.prec)
+            out.append(self.zero if acc is None else LaurentScalar(*acc))
         return out
 
     def add_shifted(self, lo, hi, off, n):

@@ -695,6 +695,8 @@ class Field:
             return out if as_bytes else list(out)
         if (la == 1 or lb == 1) and self._exp is not None:
             c, v = (a[0], b[:lb]) if la == 1 else (b[0], a[:la])
+            if not c:   # a bytes operand's first digit, taken unscanned
+                return [0] * (n + 1)
             exp, log, q1, lc = self._exp, self._log, self.q - 1, self._log[c]
             out = [exp[(lc + log[y]) % q1] if y else 0 for y in v]
             out.extend([0] * (n + 1 - len(out)))
@@ -726,6 +728,24 @@ class Field:
             return out if as_bytes else list(out)
         out.extend([0] * (n + 1 - m))
         return out
+
+    def dot(self, pairs):
+        """The sum of x*y over the (x, y) code pairs, zero terms skipped."""
+        add, mul, acc = self.add, self.mul, 0
+        for x, y in pairs:
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
+
+    def packed_mod(self, terms):
+        """The byte v -> v % p table when a one-byte slot holds a reduced
+        digit plus `terms` digit products, so acc + x*y over units of at
+        most `terms` digits adds packed and reduces in one translate; else
+        None."""
+        p1 = self.p - 1
+        if self._mod_bytes is not None and p1 + terms * p1 * p1 <= 255:
+            return self._mod_bytes
+        return None
 
     def pow(self, a, e):
         if e < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .analytic import LaurentDomain, LaurentScalar
-from .errors import ParseError
+from .errors import GermError, ParseError
 from .fields import Field, field_create
 from .multidim import MultiGerm, MultiSeries
 from .series import Germ1D, Series
@@ -172,6 +172,8 @@ def multigerm_from_dict(d):
                     raise ParseError(f"exponent {key} has wrong arity")
                 terms[e] = _element(field, vec)
             eps.append(MultiSeries(field, n, trunc, terms))
+    except GermError:
+        raise   # the library's own error, raised where the input was read
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad multigerm payload: {exc}") from exc
     return MultiGerm(field, cvec, dmat, tuple(eps), trunc)

@@ -43,7 +43,7 @@ identically zero, which the engine also asserts where cheap.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -315,13 +315,8 @@ class _Engine:
             inner = [self._chain_coef(tau + 1, mp, b) for b in
                      range(1 if rest is not None else l // p + 1)]
         if rest is None:
-            rest = dom.zero
-            for b in range(1, l // p + 1):
-                s = inner[b]
-                if not zero(s):
-                    a = small[l - p * b]
-                    if not zero(a):
-                        rest = add(rest, mul(s, a))
+            rest = dom.dot([(inner[b], small[l - p * b])
+                            for b in range(1, l // p + 1)])
             if not final and l - p <= self.frontier and \
                     l // p <= self._final_cap(tau + 1, mp):
                 self.partials[key] = rest
@@ -332,19 +327,10 @@ class _Engine:
 
     def _rhs_known(self, n):
         """rhs_n with every unassigned unknown read as zero."""
-        dom = self.dom
-        acc = dom.zero
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
-        for (i, step, mexp, tau) in self.supp:
-            if i > n:
-                break
-            rem = n - i
-            if rem % step:
-                continue
-            c = self._chain_coef(tau, mexp, rem // step)
-            if not zero(c):
-                acc = add(acc, mul(self.eps_t[i], c))
-        return acc
+        supp = self.supp[: bisect_right(self.supp, (n, math.inf))]
+        return self.dom.dot([
+            (self.eps_t[i], self._chain_coef(tau, mexp, (n - i) // step))
+            for i, step, mexp, tau in supp if (n - i) % step == 0])
 
     def _slots(self, n, j):
         """[(s, coeff)]: the unknown enters rhs_n as coeff * z^(p^s)."""

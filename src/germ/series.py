@@ -4,13 +4,19 @@ A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
 ``one`` and methods ``add, sub, neg, mul, inv, frob, frob_root, from_int,
 is_zero, is_zero_to_prec``, ``conv(a, b, n)``, the first n+1 coefficients
-of the product of two coefficient lists, ``add_shifted(lo, hi, off, n)``,
-the first n coefficients of lo + x**off * hi, and
-``additive_roots(terms, q)``, the solutions z of sum(c * z**(p**s)) = q
-for (s, c) in ``terms``, which raises when the domain holds none.
-Every series product goes through ``conv``, and ``compose`` adds each scaled
-power of the inner series through ``conv`` and ``add_shifted``.  ``is_zero_to_prec`` is the test comparisons use: true
-for a value that cannot be told from zero at its precision (over a finite
+of the product of two coefficient lists, ``dot(pairs)``, the sum of x*y
+over the (x, y) pairs, added left to right with exact zeros skipped,
+``add_shifted(lo, hi, off, n)``, the first n coefficients of
+lo + x**off * hi, and ``additive_roots(terms, q)``, the solutions z of
+sum(c * z**(p**s)) = q for (s, c) in ``terms``, which raises when the
+domain holds none.  Every series product goes through ``conv``, and
+``compose`` adds each scaled power of the inner series through ``conv``
+and ``add_shifted``; the engine's chain sums are ``dot`` calls.  Over an
+exact field the order of a sum is free; over the t-adic domain ``conv``
+and ``dot`` add each output's terms left to right, each partial sum
+exactly ``add(acc, mul(x, y))``, because the order fixes the precision of
+the result.  ``is_zero_to_prec`` is the test comparisons use: true for a
+value that cannot be told from zero at its precision (over a finite
 field, the same as ``is_zero``).  Finite fields store coefficients as int
 codes; the analytic module supplies a t-adic domain with object
 coefficients.

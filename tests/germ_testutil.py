@@ -4,7 +4,7 @@ import collections
 import contextlib
 import math
 
-from germ.analytic import LaurentScalar
+from germ.analytic import LaurentDomain, LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
 from germ.fields import Field, field_create
 from germ.series import Germ1D, Series
@@ -94,6 +94,15 @@ def schoolbook_add_shifted(field, lo, hi, off, n):
     return out
 
 
+def schoolbook_dot(field, pairs):
+    """Reference for ``field.dot``: the sum of x*y, one scalar add and mul
+    per pair."""
+    acc = field.zero
+    for x, y in pairs:
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
 def _reference_raw_mul(field, a, b):
     # a prime field's product is its own reference: the schoolbook
     # extension product multiplies over F_p through this very method
@@ -102,25 +111,59 @@ def _reference_raw_mul(field, a, b):
     return schoolbook_field_mul(field, a, b)
 
 
+def laurent_dot_reference(dom, pairs, add=LaurentDomain.add,
+                          mul=LaurentDomain.mul):
+    """Reference for ``LaurentDomain.dot``: the sum of x*y, left to right,
+    one ``add`` of one ``mul`` per pair, exact zeros skipped."""
+    acc = dom.zero
+    for x, y in pairs:
+        if not dom.is_zero(x) and not dom.is_zero(y):
+            acc = add(dom, acc, mul(dom, x, y))
+    return acc
+
+
+def laurent_conv_reference(dom, a, b, n, add=LaurentDomain.add,
+                           mul=LaurentDomain.mul):
+    """Reference for ``LaurentDomain.conv``, by schoolbook: exact zeros are
+    skipped and each output sums its terms in increasing index of a, one
+    ``add`` of one ``mul`` per term."""
+    out = [dom.zero] * (n + 1)
+    terms = [(j, y) for j, y in enumerate(b[: n + 1]) if not dom.is_zero(y)]
+    for i, x in enumerate(a[: n + 1]):
+        if dom.is_zero(x):
+            continue
+        for j, y in terms:
+            if i + j > n:
+                break
+            out[i + j] = add(dom, out[i + j], mul(dom, x, y))
+    return out
+
+
 _REFERENCE_KERNELS = {
-    "conv": schoolbook_conv,
-    "add_shifted": schoolbook_add_shifted,
-    "_raw_mul": _reference_raw_mul,
+    (Field, "conv"): schoolbook_conv,
+    (Field, "add_shifted"): schoolbook_add_shifted,
+    (Field, "_raw_mul"): _reference_raw_mul,
+    (Field, "dot"): schoolbook_dot,
+    (LaurentDomain, "conv"): laurent_conv_reference,
+    (LaurentDomain, "dot"): laurent_dot_reference,
 }
 
 
 @contextlib.contextmanager
 def reference_kernels():
-    """Run every ``Field`` on the schoolbook references: ``conv``,
-    ``add_shifted`` and the table-free product ``_raw_mul``.
+    """Run every ``Field`` and ``LaurentDomain`` on the schoolbook
+    references: ``Field.conv``, ``add_shifted``, ``dot`` and the table-free
+    product ``_raw_mul``, and ``LaurentDomain.conv`` and ``dot`` as one
+    ``add`` of one ``mul`` per term.
 
-    Yields a Counter of the calls each reference took, so a caller can
-    tell that the swap took effect.  The packed kernels are restored on
-    exit.  Tables built inside are the same as outside: they are filled
-    by products, which the references compute exactly.
+    Yields a Counter of the calls each reference took, keyed
+    ``"Field.conv"`` and so on, so a caller can tell that the swap took
+    effect.  The packed kernels are restored on exit.  Tables built inside
+    are the same as outside: they are filled by products, which the
+    references compute exactly.
     """
     calls = collections.Counter()
-    saved = {name: getattr(Field, name) for name in _REFERENCE_KERNELS}
+    saved = {key: getattr(*key) for key in _REFERENCE_KERNELS}
 
     def counted(name, ref):
         def kernel(self, *args):
@@ -128,13 +171,13 @@ def reference_kernels():
             return ref(self, *args)
         return kernel
 
-    for name, ref in _REFERENCE_KERNELS.items():
-        setattr(Field, name, counted(name, ref))
+    for (cls, name), ref in _REFERENCE_KERNELS.items():
+        setattr(cls, name, counted(f"{cls.__name__}.{name}", ref))
     try:
         yield calls
     finally:
-        for name, kernel in saved.items():
-            setattr(Field, name, kernel)
+        for (cls, name), kernel in saved.items():
+            setattr(cls, name, kernel)
 
 
 # Laurent scalar ops as they were before the digit work moved into the Field

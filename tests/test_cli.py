@@ -231,6 +231,8 @@ _PHI9 = {"field": {"p": 3, "k": 2}, "series": {
     "trunc": 24, "coeffs": [[0, 0], [1, 0], [0, 1]]}}
 
 
+# (id, input files, argv[, the one error line, where the library's own
+# message must come through untranslated])
 _BAD_INPUTS = [
     ("top-level-list", {"f": [1, 2]}, ["invariants", "{f}"]),
     ("p-as-string", {"f": dict(_GERM, field=dict(_FIELD3, p="3"))},
@@ -256,7 +258,8 @@ _BAD_INPUTS = [
     ("negative-multigerm-exponent",
      {"f": {"field": _FIELD3, "N": 2, "C": [[1], [1]],
             "D": [[2, 0], [0, 2]], "eps": [{"-1,2": [1]}, {}]}},
-     ["multinorm", "{f}", "--degree", "6"]),
+     ["multinorm", "{f}", "--degree", "6"],
+     "error: negative exponent (-1, 2)"),
     ("poly-vector-longer-than-k",
      {"f": {"field": _FIELD3, "coeffs": [[0], [2], [0], [1, 1]]}},
      ["infinity", "{f}"]),
@@ -279,10 +282,11 @@ _BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("files,argv", [pytest.param(f, a, id=i)
-                                        for i, f, a in _BAD_INPUTS])
+@pytest.mark.parametrize("files,argv,message", [
+    pytest.param(f, a, m[0] if m else None, id=i)
+    for i, f, a, *m in _BAD_INPUTS])
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, files,
-                                               argv):
+                                               argv, message):
     paths = {}
     for name, body in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -292,6 +296,7 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, files,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert message is None or lines[0] == message
 
 
 def _failed_oracle(*args):

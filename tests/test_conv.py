@@ -1,5 +1,6 @@
-"""Cross-check of the packed kernels ``Field.conv`` and ``Field.add_shifted``
-against schoolbook references built only from the field's scalar add and mul.
+"""Cross-check of the packed kernels ``Field.conv``, ``Field.add_shifted`` and
+``Field.dot`` against schoolbook references built only from the field's
+scalar add and mul.
 
 The solver and the composition oracle both multiply through ``Field.conv``,
 so this comparison is what keeps one kernel bug from fooling both.
@@ -10,7 +11,8 @@ import random
 import pytest
 
 from germ.fields import field_create
-from germ_testutil import schoolbook_add_shifted, schoolbook_conv
+from germ_testutil import schoolbook_add_shifted, schoolbook_conv, \
+    schoolbook_dot
 
 
 FIELDS = [
@@ -201,6 +203,36 @@ def test_conv_bytes_operands_match_lists(p, k):
             want = schoolbook_conv(field, a, b, n)
             assert field.conv(a, b, n) == want
             assert list(field.conv(bytes(a), bytes(b), n)) == want
+
+
+# bytes operands are taken at their length unscanned, so the one-term branch
+# reads a first digit that may be zero: a zero scalar scales to zeros
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8)])
+def test_conv_bytes_operand_with_zero_first_digit(p, k):
+    field = field_create(p, k)
+    top = field.q - 1
+    assert field.conv(bytes([0, 0, 3]), bytes([3, 2]), 0) == [0]
+    for a, b in ((bytes([0, 0, top]), bytes([top, 2])),
+                 (bytes([0]), bytes([top, 1, top]))):
+        for n in (0, 1, 3):
+            want = schoolbook_conv(field, list(a), list(b), n)
+            assert list(field.conv(a, b, n)) == want, (a, b, n)
+            assert list(field.conv(b, a, n)) == want, (a, b, n)
+
+
+# prime fields, exp/log table fields and the table-free F_{3^11}
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 11)])
+def test_dot_matches_plain_loop(p, k):
+    field = field_create(p, k)
+    rng = random.Random(p * 101 + k)
+    top = field.q - 1
+    for length in (0, 1, 2, 7, 300):
+        for zero_rate in (0.0, 0.5):
+            pairs = list(zip(_operand(field, rng, length, zero_rate),
+                             _operand(field, rng, length, zero_rate)))
+            assert field.dot(pairs) == schoolbook_dot(field, pairs), pairs
+        pairs = [(top, top)] * length
+        assert field.dot(pairs) == schoolbook_dot(field, pairs)
 
 
 # slots of three bytes over F_{97^2} and F_127 sum more weighted bytes than

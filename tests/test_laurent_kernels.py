@@ -1,10 +1,11 @@
-"""LaurentDomain's add, mul and normalization against per-digit references
-built from scalar field ops only, as hypothesis properties.
+"""LaurentDomain's add, mul, normalization, conv and dot against per-digit
+references built from scalar field ops only, as hypothesis properties.
 
 Each op must agree exactly in (val, unit, prec): the digit work runs in the
-packed Field kernels, and the precision each output carries is part of every
-witness the growth certificate reads.  Units compare as tuples: a domain
-over at most 256 elements stores them as bytes, a larger one as tuples.
+packed Field kernels and the packed accumulate step, and the precision each
+output carries is part of every witness the growth certificate reads.
+Units compare as tuples: a domain over at most 256 elements stores them as
+bytes, a larger one as tuples.
 """
 
 import pytest
@@ -17,17 +18,23 @@ from germ.analytic import LaurentDomain, LaurentScalar  # noqa: E402
 from germ.fields import field_create  # noqa: E402
 from germ.series import Series  # noqa: E402
 from germ_testutil import (laurent_add_reference,  # noqa: E402
+                           laurent_conv_reference, laurent_dot_reference,
                            laurent_mk_reference, laurent_mul_reference)
 
 
 # F_2, F_4: packed xor; F_3, F_5, F_7: packed add and translate, and F_5 and
 # F_7 cross conv's one-byte bound at 16 and 8 digits; F_9: per-digit adds.
-# The second F_3 domain reaches F_3's bound at 64 digits.  F_{17^2} has 289
-# elements, so its units stay tuples.
+# The F_3 domain at prec 70 reaches F_3's bound at 64 digits.  F_{17^2} has
+# 289 elements, so its units stay tuples.  conv and dot accumulate packed
+# over F_p while (p-1) + prec*(p-1)**2 <= 255, and both sides of that bound
+# are here: F_3 at prec 63 and 64, F_5 at 15 and 16, F_7 at 6 and 7; F_2 at
+# prec 100 sums long units packed; F_5 and F_7 at prec 20 are past theirs.
 KERNEL_DOMAINS = [LaurentDomain(field_create(p, k), prec=prec)
                   for p, k, prec in [(2, 1, 20), (2, 2, 20), (3, 1, 20),
                                      (3, 1, 70), (5, 1, 20), (7, 1, 20),
-                                     (3, 2, 20), (17, 2, 20)]]
+                                     (3, 2, 20), (17, 2, 20), (3, 1, 63),
+                                     (3, 1, 64), (2, 1, 100), (5, 1, 15),
+                                     (5, 1, 16), (7, 1, 6), (7, 1, 7)]]
 
 
 def _unit_type(dom):
@@ -64,19 +71,81 @@ def laurent_scalars(draw, dom):
     return laurent_mk_reference(dom, val, digits, prec)
 
 
+def _cancelling(draw, dom, x, y):
+    """y with its leading digits replaced by -x's, so x + y cancels there."""
+    lead = draw(st.integers(1, len(x.unit)))
+    digits = [dom.base.neg(d) for d in x.unit[:lead]] + list(y.unit)
+    prec = None if x.prec is None and draw(st.booleans()) else \
+        draw(st.integers(1, dom.prec + 4))
+    return laurent_mk_reference(dom, x.val, digits, prec)
+
+
 @st.composite
 def laurent_pairs(draw):
     dom = draw(st.sampled_from(KERNEL_DOMAINS))
     x = draw(laurent_scalars(dom))
     y = draw(laurent_scalars(dom))
     if x.unit and draw(st.booleans()):
-        # y agrees with -x on its leading digits, so x + y cancels there
-        lead = draw(st.integers(1, len(x.unit)))
-        digits = [dom.base.neg(d) for d in x.unit[:lead]] + list(y.unit)
-        prec = None if x.prec is None and draw(st.booleans()) else \
-            draw(st.integers(1, dom.prec + 4))
-        y = laurent_mk_reference(dom, x.val, digits, prec)
+        y = _cancelling(draw, dom, x, y)
     return dom, _in_domain(dom, x), _in_domain(dom, y)
+
+
+@st.composite
+def term_scalars(draw, dom):
+    """A factor of a sum of products: any of ``laurent_scalars``, an exact
+    one-digit monomial, whose products keep the other factor's length, or
+    a unit of exactly prec digits, exact or capped there, some with every
+    digit at q - 1, so exact sums cross the cap."""
+    kind = draw(st.sampled_from(["any", "any", "monomial", "at-cap"]))
+    if kind == "any":
+        return draw(laurent_scalars(dom))
+    val = draw(st.integers(-5, 5))
+    top = dom.base.q - 1
+    if kind == "monomial":
+        return laurent_mk_reference(dom, val, [draw(st.integers(1, top))],
+                                    None)
+    if draw(st.booleans()):
+        digits = [top] * dom.prec
+    else:
+        digits = draw(st.lists(st.integers(0, top), min_size=dom.prec,
+                               max_size=dom.prec))
+        digits[0], digits[-1] = digits[0] or 1, digits[-1] or 1
+    prec = None if draw(st.booleans()) else dom.prec
+    return laurent_mk_reference(dom, val, digits, prec)
+
+
+def _reference_dot(dom, pairs):
+    return laurent_dot_reference(dom, pairs, laurent_add_reference,
+                                 laurent_mul_reference)
+
+
+@st.composite
+def dot_operands(draw):
+    dom = draw(st.sampled_from(KERNEL_DOMAINS))
+    factors = st.tuples(term_scalars(dom), term_scalars(dom))
+    pairs = draw(st.lists(factors, max_size=6))
+    if len(pairs) > 1 and draw(st.booleans()):
+        # a later term 1 * y cancels the leading digits of the sum so far
+        k = draw(st.integers(1, len(pairs) - 1))
+        partial = _reference_dot(dom, pairs[:k])
+        if partial.unit:
+            pairs[k] = (dom.one, _cancelling(draw, dom, partial,
+                                             pairs[k][1]))
+    return dom, [(_in_domain(dom, x), _in_domain(dom, y)) for x, y in pairs]
+
+
+@st.composite
+def conv_operands(draw):
+    dom = draw(st.sampled_from(KERNEL_DOMAINS))
+    a = draw(st.lists(term_scalars(dom), max_size=6))
+    b = draw(st.lists(term_scalars(dom), max_size=6))
+    if len(a) > 1 and len(b) > 1 and b[0].unit and draw(st.booleans()):
+        # coefficient 1 is 1 * b[1] + 1 * b[0], which cancels at its top
+        a[0] = a[1] = dom.one
+        b[1] = _cancelling(draw, dom, b[0], b[1])
+    n = draw(st.integers(0, 12))
+    return (dom, [_in_domain(dom, x) for x in a],
+            [_in_domain(dom, y) for y in b], n)
 
 
 def _triple(x):
@@ -148,3 +217,49 @@ def test_units_keep_the_domain_type(pair):
     f = Series(dom.base, [0, 1, dom.base.q - 1], 2)
     out += dom.lift_series(f).coeffs
     assert [type(z.unit) for z in out] == [_unit_type(dom)] * len(out)
+
+
+@kernel_laws
+@given(dot_operands())
+def test_laurent_dot_matches_reference(operands):
+    dom, pairs = operands
+    got = dom.dot(pairs)
+    assert _triple(got) == _triple(_reference_dot(dom, pairs))
+    assert type(got.unit) is _unit_type(dom)
+
+
+@kernel_laws
+@given(conv_operands())
+def test_laurent_conv_matches_reference(operands):
+    dom, a, b, n = operands
+    got = dom.conv(a, b, n)
+    want = laurent_conv_reference(dom, a, b, n, laurent_add_reference,
+                                  laurent_mul_reference)
+    assert [_triple(x) for x in got] == [_triple(x) for x in want]
+    assert all(type(x.unit) is _unit_type(dom) for x in got)
+
+
+def test_slots_at_the_packed_bound():
+    # a sum so far with every digit at q - 1, plus the product of two units
+    # of prec digits at q - 1, fills digit prec - 1 to (p-1) + prec*(p-1)**2
+    for dom in KERNEL_DOMAINS:
+        top = dom.base.q - 1
+        for prec in (None, dom.prec):
+            x = _in_domain(dom, laurent_mk_reference(dom, 0, [top] * dom.prec,
+                                                     prec))
+            pairs = [(x, dom.one), (x, x)]
+            assert _triple(dom.dot(pairs)) == \
+                _triple(_reference_dot(dom, pairs))
+            a, b = [dom.one, x], [x, x]
+            want = laurent_conv_reference(dom, a, b, 1, laurent_add_reference,
+                                          laurent_mul_reference)
+            assert [_triple(z) for z in dom.conv(a, b, 1)] == \
+                [_triple(z) for z in want]
+
+
+def test_packed_bound_splits_the_kernel_domains():
+    # both sides of (p-1) + prec*(p-1)**2 <= 255 are among KERNEL_DOMAINS
+    packed = {(dom.p, dom.base.k, dom.prec) for dom in KERNEL_DOMAINS
+              if dom._packed_mod is not None}
+    assert packed == {(2, 1, 20), (3, 1, 20), (3, 1, 63), (2, 1, 100),
+                      (5, 1, 15), (7, 1, 6)}

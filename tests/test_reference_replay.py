@@ -1,13 +1,13 @@
 """The whole pipeline on the schoolbook reference kernels.
 
 The solver and the composition oracle both multiply through ``Field.conv``
-and add through ``Field.add_shifted``, so a kernel bug that both read the
-same way would pass the oracle.  Here the same germs are solved on the
-packed kernels and on the references of ``germ_testutil``, and every
-output must agree.  The pool replay runs every committed benchmark
-variant of three workloads on the references and checks its digest; it
-is marked ``slow`` and left out of the default run (``pytest -m slow``
-runs it).
+(over F_q((t)), through ``LaurentDomain.conv``) and add through
+``add_shifted``, so a kernel bug that both read the same way would pass
+the oracle.  Here the same germs are solved on the packed kernels and on
+the references of ``germ_testutil``, and every output must agree.  The
+pool replay runs every committed benchmark variant of all four workloads
+on the references and checks its digest; it is marked ``slow`` and left
+out of the default run (``pytest -m slow`` runs it).
 """
 
 import importlib.util
@@ -20,9 +20,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from germ.analytic import (LaurentDomain,  # noqa: E402
+                           conjugacy_to_truncation)
 from germ.fields import Field, field_create  # noqa: E402
 from germ.invariants import profile  # noqa: E402
 from germ.normalizer import min_trunc, normal_form  # noqa: E402
+from germ.series import Germ1D, Series  # noqa: E402
 from germ_testutil import make_germ, reference_kernels  # noqa: E402
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -67,18 +70,28 @@ def test_normal_form_same_on_reference_kernels(p, k, data):
         assert _outputs(f, trunc) == fast
 
 
+def _laurent_witness():
+    dom = LaurentDomain(field_create(3, 1), prec=48)
+    co = [dom.zero] * 25
+    co[3], co[4], co[6] = dom.one, dom.t_power(1), dom.one
+    wit = conjugacy_to_truncation(Germ1D(dom, Series(dom, co, 24)), order=30)
+    return [(c.val, bytes(c.unit), c.prec) for c in wit.phi.coeffs]
+
+
 def test_reference_kernels_take_effect():
-    packed = {name: getattr(Field, name)
-              for name in ("conv", "add_shifted", "_raw_mul")}
+    names = [(Field, "conv"), (Field, "add_shifted"), (Field, "_raw_mul"),
+             (Field, "dot"), (LaurentDomain, "conv"), (LaurentDomain, "dot")]
+    packed = {key: getattr(*key) for key in names}
     field = field_create(3, 11)
     f = make_germ(field, 0, 3, 24, random.Random(5))
+    fast = _laurent_witness()
     with reference_kernels() as calls:
-        assert all(getattr(Field, name) is not kernel
-                   for name, kernel in packed.items())
+        assert all(getattr(*key) is not kernel
+                   for key, kernel in packed.items())
         normal_form(f, trunc=24)
-    assert calls["conv"] and calls["add_shifted"] and calls["_raw_mul"]
-    assert all(getattr(Field, name) is kernel
-               for name, kernel in packed.items())
+        assert _laurent_witness() == fast
+    assert all(calls[f"{cls.__name__}.{name}"] for cls, name in names)
+    assert all(getattr(*key) is kernel for key, kernel in packed.items())
 
 
 def _load(name):
@@ -90,8 +103,8 @@ def _load(name):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload",
-                         ["nf-high-order", "extension-tower", "fuzz-small"])
+@pytest.mark.parametrize("workload", ["nf-high-order", "growth-tadic",
+                                      "extension-tower", "fuzz-small"])
 def test_pool_replays_on_reference_kernels(workload, tmp_path):
     # pool.json is only read: every variant must reproduce its digest
     run, workloads = _load("run"), _load("workloads")
@@ -100,5 +113,7 @@ def test_pool_replays_on_reference_kernels(workload, tmp_path):
         cases = run.load_pool(wl, workloads.Context(str(tmp_path)))
         failed = [key for key, (case, expected) in sorted(cases.items())
                   if run.run_item(case, expected, workloads.digest)[1]]
-    assert calls["conv"]
+    assert calls["Field.conv"]
+    if workload == "growth-tadic":
+        assert calls["LaurentDomain.conv"] and calls["LaurentDomain.dot"]
     assert not failed, failed
