@@ -23,6 +23,7 @@ from .errors import (
     UnsolvableRoot,
     ValidationError,
 )
+from .fields import compose_by_powers
 from .invariants import InvariantProfile, profile
 from .normalizer import (ConjugacyWitness, min_trunc, solve_prescribed,
                          target_germ, verify_conjugacy)
@@ -345,14 +346,29 @@ class LaurentDomain:
     def add_shifted(self, lo, hi, off, n):
         """The first n coefficients of lo + x**off * hi, for scalar lists:
         one ``add`` per overlapping coefficient, so an exact zero in hi
-        leaves lo's coefficient as it is."""
-        out = list(lo[:n])
-        out += [self.zero] * (n - len(out))
+        leaves lo's coefficient as it is.  A lo of exactly n scalars is
+        taken over and becomes the result, so the engine's one-term
+        updates cost one ``add``, not a copy."""
+        out = lo if len(lo) == n else lo[:n] + [self.zero] * (n - len(lo))
         top = min(len(hi), n - off)
         if top > 0:
             out[off: off + top] = map(self.add, out[off: off + top],
                                       hi[:top])
         return out
+
+    def vector(self, scalars):
+        """A coefficient vector as the kernels here take and give it: a
+        list."""
+        return list(scalars)
+
+    def compose(self, outer, inner, og, t):
+        """The first t+1 coefficients of outer(inner), for scalar lists and
+        an inner series of order og >= 1: the power loop alone
+        (:func:`~germ.fields.compose_by_powers`).  The Frobenius split of
+        ``Field.compose`` would give other precisions: ``frob`` raises an
+        inexact scalar's precision p-fold, so the split's (val, unit,
+        prec) differ from the loop's."""
+        return compose_by_powers(self, outer, inner, og, t)
 
     def inv(self, x):
         if self.is_zero(x):

@@ -72,10 +72,38 @@ def _strip(f):
 
 def _support_len(codes, cap):
     """Length of codes[:cap] without its trailing zeros."""
+    if type(codes) is bytes:
+        return len(codes[:cap].rstrip(b"\0"))
     n = min(len(codes), cap)
     while n and codes[n - 1] == 0:
         n -= 1
     return n
+
+
+def compose_by_powers(dom, outer, inner, og, t):
+    """The first t+1 coefficients of outer(inner), for coefficient vectors
+    of ``dom`` and an inner series of order og >= 1, as a vector.
+
+    The power loop: inner**l has order exactly l*og (a product of leading
+    coefficients is never an exact zero), so each power is one ``conv`` of
+    the last with inner's tail, kept from l*og on, and outer[l] times it is
+    added in by ``add_shifted``, l increasing.  Powers past the outer's
+    last nonzero coefficient, or of order past t, are never formed.  The
+    whole of ``LaurentDomain.compose`` and the leaf of ``Field.compose``."""
+    zero = dom.is_zero
+    deg = min(len(outer) - 1, t // og)
+    while deg > 0 and zero(outer[deg]):
+        deg -= 1
+    out = dom.vector([outer[0] if len(outer) else dom.zero] + [dom.zero] * t)
+    tail, power = inner[og: t + 1], None
+    for l in range(1, deg + 1):
+        lo = l * og
+        power = tail if power is None else dom.conv(power, tail, t - lo)
+        if not zero(outer[l]):
+            out = dom.add_shifted(
+                out, dom.conv(dom.vector([outer[l]]), power, t - lo), lo,
+                t + 1)
+    return out
 
 
 def _poly_mul(dom, f, g):
@@ -533,8 +561,26 @@ class Field:
         self._mod_bytes = None
         if k == 1 and 2 * (p - 1) < 256:
             self._mod_bytes = self._digits.byte_mod
-        # digit vectors add as packed bytes: xor, or add and translate
-        self._byte_add = p == 2 and q <= 256 or self._mod_bytes is not None
+        # codes add packed one to a byte: xor over F_{2^k}; for odd p a code
+        # is respread to its digits in radix 2p-1 (``_add_in``, none over
+        # F_p), where a digit sum carries into nothing, and the byte sums
+        # read back mod p through ``_add_out``
+        self._add_in, self._add_out = None, self._mod_bytes
+        if k > 1 and p != 2 and (2 * p - 1) ** k <= 256:
+            r = 2 * p - 1
+            self._add_in = bytes(
+                sum(c * r ** i for i, c in enumerate(self._decode(v)))
+                for v in range(q)).ljust(256, b"\0")
+            self._add_out = bytes(self._encode([s // r ** i % r
+                                                for i in range(k)])
+                                  for s in range(256))
+        self._byte_add = p == 2 and q <= 256 or self._add_out is not None
+        # translate tables of bytes vectors when q <= 256: the logs (q - 1
+        # for the log of 0), the Frobenius, and c -> the row of y -> c*y.
+        # Every attribute is set here, in one order, on every field: one
+        # added later would slow every attribute read of that field
+        self._log_row = self._frob_row = None
+        self._rows = {}
         # the most terms a one-byte slot of an F_p product can sum
         self._byte_terms = 255 // (p - 1) ** 2 if k == 1 else 0
         if q > _TABLE_LIMIT:
@@ -564,6 +610,11 @@ class Field:
         if p != 2:  # -1 = g**((q-1)/2); negation is the identity when p = 2
             half = (q - 1) // 2
             self._neg_tab = [0] + [exp[log[a] - half] for a in range(1, q)]
+        if q <= 256:
+            self._log_row = bytes([q - 1] + log[1:]).ljust(256, b"\0")
+            self._frob_row = bytes([0] + [exp[log[a] * p % (q - 1)]
+                                          for a in range(1, q)]).ljust(256,
+                                                                       b"\0")
 
     # -- kernel ops on codes -------------------------------------------------
 
@@ -610,28 +661,40 @@ class Field:
         """The first n coefficients of lo + x**off * hi, for code
         sequences lo and hi and off >= 0.
 
-        Codes below 256 pack one to a byte: over F_{2^k} the two packed ints
-        are xored, and over F_p with 2(p-1) < 256 they are added, which
-        carries nothing from one byte into the next, and every byte is
-        reduced mod p by one translate.  Packed, bytes operands give bytes.
-        Otherwise the codes add one by one: xor when p = 2, through the
-        addition table where there is one, and by ``add`` over the other
-        odd-p fields.
+        The result is bytes when lo is bytes, else a list.  Codes below 256
+        pack one to a byte: over F_{2^k} the two packed ints are xored; over
+        F_p with 2(p-1) < 256, and over F_{p^k} with (2p-1)**k <= 256 once
+        each code is respread to radix 2p-1 by a translate, they are added,
+        which carries nothing from one byte into the next, and every byte
+        is read back mod p by one translate.  Otherwise the codes add one
+        by one: xor when p = 2, through the addition table where there is
+        one, and by ``add`` over the other odd-p fields; on that path a list
+        lo of exactly n codes is taken over and becomes the result, so the
+        engine's one-term writes cost one ``add``, not a copy.
         """
         top = len(hi) if len(hi) < n - off else n - off
+        as_bytes = type(lo) is bytes
         if self._byte_add:
-            a = int.from_bytes(lo[:n], "little")
+            a, b = lo[:n], hi[:top]
+            if self._add_in is not None and top > 0:
+                a = bytes(a).translate(self._add_in)
+                b = bytes(b).translate(self._add_in)
             if top <= 0:
-                out = a.to_bytes(n, "little")
+                out = int.from_bytes(a, "little").to_bytes(n, "little")
             elif self.p == 2:
-                out = (a ^ int.from_bytes(hi[:top], "little") << 8 * off
+                out = (int.from_bytes(a, "little") ^
+                       int.from_bytes(b, "little") << 8 * off
                        ).to_bytes(n, "little")
             else:
-                out = (a + (int.from_bytes(hi[:top], "little") << 8 * off)
-                       ).to_bytes(n, "little").translate(self._mod_bytes)
-            return out if type(lo) is bytes else list(out)
-        out = list(lo[:n])
-        out += [0] * (n - len(out))
+                out = (int.from_bytes(a, "little") +
+                       (int.from_bytes(b, "little") << 8 * off)
+                       ).to_bytes(n, "little").translate(self._add_out)
+            return out if as_bytes else list(out)
+        if type(lo) is list and len(lo) == n:
+            out = lo
+        else:
+            out = list(lo[:n])
+            out += [0] * (n - len(out))
         if top > 0:
             pairs = zip(out[off: off + top], hi[:top])
             tab, add = self._add_tab, self.add
@@ -641,7 +704,7 @@ class Field:
                 out[off: off + top] = [tab[x][y] for x, y in pairs]
             else:
                 out[off: off + top] = [add(x, y) for x, y in pairs]
-        return out
+        return bytes(out) if as_bytes else out
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -661,31 +724,44 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def conv(self, a, b, n):
-        """The first n+1 coefficients of the product of the code lists a, b.
+        """The first n+1 coefficients of the product of the code vectors a
+        and b: bytes when a is bytes (q <= 256), else a list.
 
         Kronecker substitution through the packed-digit layer
         (:class:`_FoldProduct`), slots wide enough for the largest digit sum
-        min(len)*k*(p-1)**2; bytes operands give bytes when q <= 256.  Three
-        branches, chosen by operand length, stay in front, each timed
-        faster than the layer on the operands the benchmark pool gives it:
-        over F_p with one-byte slots, the layer's stride-1, width-1 case
-        inline, for the many short Laurent products; over a table field, a
-        one-term operand scaled through the exp/log tables, and, when the
-        field adds in one step (p = 2 or an addition table), a shorter
+        min(len)*k*(p-1)**2.  Three branches, chosen by operand length,
+        stay in front, each timed faster than the layer on the operands the
+        benchmark pool gives it: over a table field, a one-term operand
+        scaled through the exp/log tables, one translate on bytes (first,
+        since it also serves the engine's one-term updates of whole
+        vectors); over F_p with one-byte slots, the layer's stride-1,
+        width-1 case inline, for the many short Laurent products; and, when
+        the field adds in one step (p = 2 or an addition table), a shorter
         operand of fewer than k terms summed term by term.
         """
-        if n < 0:
-            return []
-        # bytes operands (Laurent units, already stripped) are taken at their
-        # length unscanned: a zero digit at the end can only widen a slot
         as_bytes = type(a) is bytes
+        if n < 0:
+            return b"" if as_bytes else []
+        # bytes operands are taken at their length unscanned: a zero digit
+        # at the end can only widen a slot
         if as_bytes:
             la = len(a) if len(a) <= n else n + 1
             lb = len(b) if len(b) <= n else n + 1
         else:
             la, lb = _support_len(a, n + 1), _support_len(b, n + 1)
         if not la or not lb:
-            return [0] * (n + 1)
+            return bytes(n + 1) if as_bytes else [0] * (n + 1)
+        if (la == 1 or lb == 1) and self._exp is not None:
+            c, v = (a[0], b[:lb]) if la == 1 else (b[0], a[:la])
+            if not c:   # a bytes operand's first digit, taken unscanned
+                return bytes(n + 1)
+            if as_bytes:
+                return bytes(v).translate(self._scale_row(c)).ljust(
+                    n + 1, b"\0")
+            exp, log, q1, lc = self._exp, self._log, self.q - 1, self._log[c]
+            out = [exp[(lc + log[y]) % q1] if y else 0 for y in v]
+            out.extend([0] * (n + 1 - len(out)))
+            return out
         if la <= self._byte_terms or lb <= self._byte_terms:
             prod = int.from_bytes(a[:la], "little") * \
                 int.from_bytes(b[:lb], "little")
@@ -693,14 +769,6 @@ class Field:
             out = prod.to_bytes(m if m > n else n + 1, "little")[: n + 1]
             out = out.translate(self._mod_bytes)
             return out if as_bytes else list(out)
-        if (la == 1 or lb == 1) and self._exp is not None:
-            c, v = (a[0], b[:lb]) if la == 1 else (b[0], a[:la])
-            if not c:   # a bytes operand's first digit, taken unscanned
-                return [0] * (n + 1)
-            exp, log, q1, lc = self._exp, self._log, self.q - 1, self._log[c]
-            out = [exp[(lc + log[y]) % q1] if y else 0 for y in v]
-            out.extend([0] * (n + 1 - len(out)))
-            return out
         p, k = self.p, self.k
         if min(la, lb) < k and self._exp is not None and \
                 (p == 2 or self._add_tab is not None):
@@ -714,7 +782,7 @@ class Field:
                         if i + j > n:
                             break
                         out[i + j] = add(out[i + j], exp[(lx + ly) % q1])
-            return out
+            return bytes(out) if as_bytes else out
         m = min(n + 1, la + lb - 1)
         ring = self._ring
         stride = ring.stride
@@ -727,6 +795,77 @@ class Field:
             out = out.ljust(n + 1, b"\0")
             return out if as_bytes else list(out)
         out.extend([0] * (n + 1 - m))
+        return out
+
+    def _scale_row(self, c):
+        """The translate table of y -> c*y on the codes, for nonzero c over
+        a field of at most 256 elements, built on first use: the logs read
+        through the exp table turned by log c, with 0 at q - 1."""
+        row = self._rows.get(c)
+        if row is None:
+            lc, exp = self._log[c], self._exp
+            row = self._rows[c] = self._log_row.translate(
+                bytes(exp[lc:] + exp[:lc] + [0]).ljust(256, b"\0"))
+        return row
+
+    def vector(self, codes):
+        """A coefficient vector as the kernels here take and give it: bytes
+        when q <= 256, else a list."""
+        return bytes(codes) if self.q <= 256 else list(codes)
+
+    def compose(self, outer, inner, og, t):
+        """The first t+1 coefficients of outer(inner), for code sequences
+        and an inner series of order og >= 1, as a :meth:`vector`.
+
+        The Frobenius split (Bernstein, "Composing power series over a
+        finite ring in essentially linear time", J. Symbolic Comput. 26(3),
+        1998): g**p = (Tg)(x**p) for T the coefficientwise Frobenius, so
+        with F_i(y) = sum_k outer[i + p*k] y**k,
+
+            F(g) = sum_(i<p) g**i * (F_i o Tg)(x**p),
+
+        and F_i o Tg is needed only to (t - i*og) // p: p compositions of
+        size t/p, plus fewer than 2p products of size t.  The leaf is the
+        power loop (:func:`compose_by_powers`): an outer of degree below p,
+        or one whose powers of the inner reach no further than degree 8.
+        Over an exact field the two sum the same terms, so they agree
+        coefficient for coefficient.
+        """
+        return self._compose(self.vector(outer[: t // og + 1]),
+                             self.vector(inner[: t + 1]), og, t)
+
+    def _compose(self, outer, inner, og, t):
+        p = self.p
+        deg = _support_len(outer, t // og + 1) - 1
+        if deg < p or deg * og <= 8:
+            return compose_by_powers(self, outer, inner, og, t)
+        if self.k == 1:
+            twisted = inner
+        elif type(inner) is bytes:
+            twisted = inner.translate(self._frob_row)
+        else:
+            twisted = [self.frob(c) for c in inner]
+        out = self.vector(bytes(t + 1))
+        # power: g**formed, kept from its order formed*og on
+        tail, power, formed = inner[og:], None, 0
+        for i in range(p):
+            lo = i * og
+            ti = (t - lo) // p
+            part = outer[i::p]
+            if lo > t or not _support_len(part, ti // og + 1):
+                continue
+            while formed < i:
+                formed += 1
+                power = tail if power is None else \
+                    self.conv(power, tail, t - formed * og)
+            sub = self._compose(part, twisted[: ti + 1], og, ti)
+            dilated = bytearray(t - lo + 1) if type(sub) is bytes else \
+                [0] * (t - lo + 1)
+            dilated[::p] = sub
+            dilated = self.vector(dilated)
+            if power is not None:
+                dilated = self.conv(power, dilated, t - lo)
+            out = self.add_shifted(out, dilated, lo, t + 1)
         return out
 
     def dot(self, pairs):

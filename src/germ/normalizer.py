@@ -32,8 +32,10 @@ evaluated numerically from incrementally maintained truncated series:
   and the final value share one sum.
 
 Assigning phi_j updates the left side and the twist powers by whole
-vectors, a one-term ``conv`` plus ``add_shifted``, which over either
-domain adds each coefficient's terms in the order a scalar loop would.
+vectors of the domain's ``vector`` type, a one-term ``conv`` plus
+``add_shifted`` (a one-term write is an ``add_shifted`` alone), which over
+either domain adds each coefficient's terms in the order a scalar loop
+would.
 
 Setting unassigned coefficients to zero during evaluation is sound: the
 dependence of each equation on not-yet-fixed unknowns other than phi_j is
@@ -159,8 +161,8 @@ class _Engine:
         if fibers is None:
             fibers = JTable.through_fiber(prof, j_hi)
         self.fibers = fibers
-        self.eps = list(eps_unit[: n_hi + 1])
-        self.eps += [dom.zero] * (n_hi + 1 - len(self.eps))
+        eps = list(eps_unit[: n_hi + 1])
+        self.eps = dom.vector(eps + [dom.zero] * (n_hi + 1 - len(eps)))
         self.prescribed = target_unit is not None
         self.nj_rule = nj_rule
         self.nj_table = nj_table
@@ -170,8 +172,10 @@ class _Engine:
 
         self.phis = [dom.one]
         self.frontier = 0
-        self.wlist = [list(self.eps)]       # W_h = (1+eps) * w^h, w = y^d(1+eps)
-        self.lhs_acc = list(self.eps)       # sum of phi_h W_h over assigned h
+        self.wlist = [self.eps]             # W_h = (1+eps) * w^h, w = y^d(1+eps)
+        # sum of phi_h W_h over assigned h; a vector of its own, since
+        # add_shifted may build its result in the vector it is handed
+        self.lhs_acc = dom.vector(self.eps)
         self.eps_t = {}
         self.supp = []                      # (i, step, M, tau) with eps_t[i] != 0
         self.twistpow = {}                  # tau -> [None, psi, ..., psi^c]
@@ -218,13 +222,10 @@ class _Engine:
         while len(self.wlist) <= h:
             # W_hh = W_(hh-1) * y^d (1+eps); W_(hh-1) vanishes below d(hh-1)
             lo = d * len(self.wlist)
-            prev = self.wlist[-1]
-            if lo > n_hi:
-                out = [dom.zero] * (n_hi + 1)
-            else:
-                out = [dom.zero] * lo + dom.conv(
-                    prev[lo - d: n_hi + 1 - d], self.eps, n_hi - lo)
-            self.wlist.append(out)
+            prod = dom.conv(self.wlist[-1][lo - d: n_hi + 1 - d], self.eps,
+                            n_hi - lo)
+            self.wlist.append(dom.vector([dom.zero] * min(lo, n_hi + 1)) +
+                              prod)
         return self.wlist[h]
 
     def _lhs(self, n, last):
@@ -250,11 +251,8 @@ class _Engine:
         dom, n_hi = self.dom, self.n_hi
         fam = self.twistpow.get(tau)
         if fam is None:
-            psi = [dom.zero] * (n_hi + 1)
-            frob = dom.frob
-            for h, v in enumerate(self.phis):
-                psi[h] = frob(v, tau)
-            fam = [None, psi]
+            psi = [dom.frob(v, tau) for v in self.phis]
+            fam = [None, dom.vector(psi + [dom.zero] * (n_hi + 1 - len(psi)))]
             self.twistpow[tau] = fam
             for (_, _, mexp, tau0) in self.supp:
                 if tau0 <= tau:
@@ -383,8 +381,8 @@ class _Engine:
         lo = self.d * j
         if lo <= n_hi:
             self.lhs_acc = add_shifted(
-                self.lhs_acc, conv([value], self._W(j)[lo:], n_hi - lo),
-                lo, n_hi + 1)
+                self.lhs_acc, conv(dom.vector([value]), self._W(j)[lo:],
+                                   n_hi - lo), lo, n_hi + 1)
         for tau, fam in self.twistpow.items():
             dtw = dom.frob(value, tau)
             for c in range(len(fam) - 1, 0, -1):
@@ -397,13 +395,10 @@ class _Engine:
                     coef = math.comb(c, l) % self.p
                     if coef == 0:
                         continue
-                    cd = dom.mul(dom.from_int(coef), dpow)
-                    if c == l:
-                        fam[c][off] = dom.add(fam[c][off], cd)
-                    else:
-                        fam[c] = add_shifted(
-                            fam[c], conv([cd], fam[c - l], n_hi - off),
-                            off, n_hi + 1)
+                    cd = dom.vector([dom.mul(dom.from_int(coef), dpow)])
+                    if c != l:
+                        cd = conv(cd, fam[c - l], n_hi - off)
+                    fam[c] = add_shifted(fam[c], cd, off, n_hi + 1)
 
     # -- driving ----------------------------------------------------------------------
 

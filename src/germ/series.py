@@ -3,15 +3,20 @@
 A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
 ``one`` and methods ``add, sub, neg, mul, inv, frob, frob_root, from_int,
-is_zero, is_zero_to_prec``, ``conv(a, b, n)``, the first n+1 coefficients
-of the product of two coefficient lists, ``dot(pairs)``, the sum of x*y
-over the (x, y) pairs, added left to right with exact zeros skipped,
-``add_shifted(lo, hi, off, n)``, the first n coefficients of
-lo + x**off * hi, and ``additive_roots(terms, q)``, the solutions z of
-sum(c * z**(p**s)) = q for (s, c) in ``terms``, which raises when the
-domain holds none.  Every series product goes through ``conv``, and
-``compose`` adds each scaled power of the inner series through ``conv``
-and ``add_shifted``; the engine's chain sums are ``dot`` calls.  Over an
+is_zero, is_zero_to_prec``; ``vector(codes)``, a coefficient vector as the
+vector kernels take and give it (``bytes`` over a field of at most 256
+elements, else a list); on vectors, ``conv(a, b, n)``, the first n+1
+coefficients of the product, ``add_shifted(lo, hi, off, n)``, the first n
+coefficients of lo + x**off * hi, which may be built in lo's storage, so
+callers hand over a lo they do not read again, and ``compose(outer,
+inner, og, t)``, the first t+1 coefficients of outer(inner) for an inner
+series of order og >= 1; ``dot(pairs)``, the sum of x*y over the (x, y)
+pairs, added left to right with exact zeros skipped; and
+``additive_roots(terms, q)``, the solutions z of sum(c * z**(p**s)) = q
+for (s, c) in ``terms``, which raises when the domain holds none.  Every
+series product goes through ``conv`` and every composition through the
+domain's ``compose``; the engine's chain sums are ``dot`` calls, and it
+keeps its own vectors in the domain's ``vector`` type.  Over an
 exact field the order of a sum is free; over the t-adic domain ``conv``
 and ``dot`` add each output's terms left to right, each partial sum
 exactly ``add(acc, mul(x, y))``, because the order fixes the precision of
@@ -264,35 +269,15 @@ class Series:
     def compose(self, inner, trunc=None):
         """self(inner); needs ord(inner) >= 1."""
         _same_dom(self, inner)
-        dom = self.dom
         og = inner.ord_floor()
         if og < 1:
             raise CompositionWithUnit("inner series must vanish at 0")
+        # t comes from the truncations, not from the outer's last nonzero
         t = min(inner.trunc, (self.trunc + 1) * og - 1)
         if trunc is not None:
             t = min(t, trunc)
-        out = [dom.zero] * (t + 1)
-        out[0] = self.coeffs[0] if self.coeffs else dom.zero
-        # inner**l has order exactly l*og (a product of leading coefficients
-        # is never an exact zero), so each power is kept from there on
-        tail = inner.coeffs[og: t + 1]
-        power = None
-        zero = dom.is_zero
-        # powers of inner past the outer's last nonzero coefficient are never
-        # read; t above still comes from self.trunc, not from that degree
-        deg = len(self.coeffs) - 1
-        while deg > 0 and zero(self.coeffs[deg]):
-            deg -= 1
-        for l in range(1, deg + 1):
-            lo = l * og
-            if lo > t:
-                break
-            power = tail if power is None else dom.conv(power, tail, t - lo)
-            fl = self.coeffs[l]
-            if not zero(fl):
-                out = dom.add_shifted(out, dom.conv([fl], power, t - lo),
-                                      lo, t + 1)
-        return Series(dom, out, t)
+        return Series(self.dom,
+                      self.dom.compose(self.coeffs, inner.coeffs, og, t), t)
 
     def __call__(self, inner):
         return self.compose(inner)

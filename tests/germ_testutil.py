@@ -6,7 +6,7 @@ import math
 
 from germ.analytic import LaurentDomain, LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
-from germ.fields import Field, field_create
+from germ.fields import Field, compose_by_powers, field_create
 from germ.series import Germ1D, Series
 
 
@@ -47,12 +47,12 @@ def make_germ(field, m, d, trunc, rng, r0_cap=1, density=0.9):
 def schoolbook_conv(field, a, b, n):
     """Reference for ``field.conv``: the first n+1 coefficients of a*b,
     from the domain's scalar add and mul only, each output summed in
-    increasing index of a."""
+    increasing index of a; bytes when a is bytes, as the kernel gives."""
     out = [field.zero] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         for j, y in enumerate(b[: n + 1 - i]):
             out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
+    return bytes(out) if type(a) is bytes else out
 
 
 def schoolbook_field_mul(field, a, b):
@@ -86,17 +86,18 @@ def schoolbook_digits(field, code):
 
 def schoolbook_add_shifted(field, lo, hi, off, n):
     """Reference for ``field.add_shifted``: the first n coefficients of
-    lo + x**off * hi, one scalar add per overlapping digit."""
+    lo + x**off * hi, one scalar add per overlapping digit; bytes when lo
+    is bytes, as the kernel gives."""
     out = list(lo[:n])
     out += [0] * (n - len(out))
     for j, c in enumerate(hi[: max(n - off, 0)]):
         out[off + j] = field.add(out[off + j], c)
-    return out
+    return bytes(out) if type(lo) is bytes else out
 
 
 def schoolbook_dot(field, pairs):
     """Reference for ``field.dot``: the sum of x*y, one scalar add and mul
-    per pair."""
+    per pair; a scalar, whatever vectors the pairs were read from."""
     acc = field.zero
     for x, y in pairs:
         acc = field.add(acc, field.mul(x, y))
@@ -139,9 +140,18 @@ def laurent_conv_reference(dom, a, b, n, add=LaurentDomain.add,
     return out
 
 
+def power_loop_compose(field, outer, inner, og, t):
+    """Reference for ``Field.compose``: the power loop alone, with no
+    Frobenius split, through the field's (possibly swapped) ``conv`` and
+    ``add_shifted``."""
+    return compose_by_powers(field, field.vector(outer), field.vector(inner),
+                             og, t)
+
+
 _REFERENCE_KERNELS = {
     (Field, "conv"): schoolbook_conv,
     (Field, "add_shifted"): schoolbook_add_shifted,
+    (Field, "compose"): power_loop_compose,
     (Field, "_raw_mul"): _reference_raw_mul,
     (Field, "dot"): schoolbook_dot,
     (LaurentDomain, "conv"): laurent_conv_reference,
@@ -153,8 +163,9 @@ _REFERENCE_KERNELS = {
 def reference_kernels():
     """Run every ``Field`` and ``LaurentDomain`` on the schoolbook
     references: ``Field.conv``, ``add_shifted``, ``dot`` and the table-free
-    product ``_raw_mul``, and ``LaurentDomain.conv`` and ``dot`` as one
-    ``add`` of one ``mul`` per term.
+    product ``_raw_mul``, ``Field.compose`` as the power loop with no
+    Frobenius split, and ``LaurentDomain.conv`` and ``dot`` as one ``add``
+    of one ``mul`` per term.
 
     Yields a Counter of the calls each reference took, keyed
     ``"Field.conv"`` and so on, so a caller can tell that the swap took

@@ -169,7 +169,8 @@ def test_add_shifted_matches_schoolbook(p, k):
         for off in (0, 1, rng.randrange(0, 40)):
             for n in (0, off, off + 1, len(lo), len(hi) + off,
                       rng.randrange(0, 70)):
-                got = field.add_shifted(lo, hi, off, n)
+                # add_shifted may build its result in lo's storage
+                got = field.add_shifted(list(lo), hi, off, n)
                 assert got == schoolbook_add_shifted(field, lo, hi, off, n), \
                     (lo, hi, off, n)
 
@@ -202,22 +203,58 @@ def test_conv_bytes_operands_match_lists(p, k):
         for n in (0, la // 2, la + lb - 2, la + lb + 3):
             want = schoolbook_conv(field, a, b, n)
             assert field.conv(a, b, n) == want
-            assert list(field.conv(bytes(a), bytes(b), n)) == want
+            got = field.conv(bytes(a), bytes(b), n)
+            assert type(got) is bytes and list(got) == want
 
 
-# bytes operands are taken at their length unscanned, so the one-term branch
-# reads a first digit that may be zero: a zero scalar scales to zeros
+# engine and composition vectors may start with zero digits: a zero scalar
+# scales to zeros, and every branch, the early return for a zero operand
+# included, gives bytes for bytes
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8)])
 def test_conv_bytes_operand_with_zero_first_digit(p, k):
     field = field_create(p, k)
     top = field.q - 1
-    assert field.conv(bytes([0, 0, 3]), bytes([3, 2]), 0) == [0]
+    assert field.conv(bytes([0, 0, 3]), bytes([3, 2]), 0) == b"\0"
     for a, b in ((bytes([0, 0, top]), bytes([top, 2])),
                  (bytes([0]), bytes([top, 1, top]))):
         for n in (0, 1, 3):
             want = schoolbook_conv(field, list(a), list(b), n)
-            assert list(field.conv(a, b, n)) == want, (a, b, n)
-            assert list(field.conv(b, a, n)) == want, (a, b, n)
+            for got in (field.conv(a, b, n), field.conv(b, a, n)):
+                assert type(got) is bytes and list(got) == want, (a, b, n)
+
+
+# one call into each branch of conv on bytes operands: each gives bytes
+@pytest.mark.parametrize("p,k,a,b,n", [
+    (2, 2, b"\x02", b"\x01\x02\x03", 2),          # one-term exp/log
+    (2, 8, b"\x02\x03", bytes(range(1, 10)), 5),    # short operand
+    (3, 2, b"\x00", b"\x01\x02", 1),               # a zero operand
+    (3, 1, b"\x01\x02", b"\x02" * 70, 80),         # packed F_p inline
+    (3, 2, b"\x05" * 40, b"\x07" * 40, 60),         # the packed layer
+])
+def test_conv_bytes_branches_give_bytes(p, k, a, b, n):
+    field = field_create(p, k)
+    got = field.conv(a, b, n)
+    assert type(got) is bytes
+    assert list(got) == schoolbook_conv(field, list(a), list(b), n)
+
+
+# bytes in, bytes out: packed xor over F_4 and F_{2^8}, packed add and
+# translate over F_3, and over F_9 after the respread to radix 5
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (3, 2), (2, 8)])
+def test_add_shifted_bytes_operands(p, k):
+    field = field_create(p, k)
+    rng = random.Random(p * 17 + k)
+    assert field.add_shifted(b"\x01\x02", b"\x01", 1, 3) == \
+        bytes(schoolbook_add_shifted(field, [1, 2], [1], 1, 3))
+    for _ in range(40):
+        lo = _operand(field, rng, rng.randrange(0, 30), 0.2)
+        hi = _operand(field, rng, rng.randrange(0, 30), 0.2)
+        for off in (0, 1, rng.randrange(0, 40)):
+            for n in (0, off + 1, len(hi) + off, rng.randrange(0, 70)):
+                got = field.add_shifted(bytes(lo), bytes(hi), off, n)
+                assert type(got) is bytes
+                assert list(got) == \
+                    schoolbook_add_shifted(field, lo, hi, off, n)
 
 
 # prime fields, exp/log table fields and the table-free F_{3^11}

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from germ.fields import field_create  # noqa: E402
+from germ.fields import compose_by_powers, field_create  # noqa: E402
 from germ.series import Series, revert  # noqa: E402
 from germ_testutil import schoolbook_conv  # noqa: E402
 
@@ -112,3 +112,46 @@ def test_revert_is_a_left_inverse(f):
     back = revert(f).compose(f)
     assert back.trunc == f.trunc
     assert back.coeffs == x.coeffs
+
+
+# the Frobenius split of Field.compose against the power loop it recurses
+# to, over F_2, F_3, F_4, F_9 and the table-free F_{3^11}: outers long
+# enough that the split recurses (degree at least p, powers past degree 8)
+SPLIT_FIELDS = [field_create(2, 1), field_create(3, 1), field_create(2, 2),
+                field_create(3, 2), field_create(3, 11)]
+
+
+@st.composite
+def split_cases(draw):
+    field = draw(st.sampled_from(SPLIT_FIELDS))
+    og, t = draw(st.integers(1, 3)), draw(st.integers(0, 160))
+    code, unit = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
+    deg = draw(st.integers(0, 80))
+    shape = draw(st.sampled_from(["dense", "sparse", "trailing zeros"]))
+    if shape == "sparse":
+        outer = [0] * (deg + 1)
+        for n in draw(st.lists(st.integers(0, deg), max_size=6)):
+            outer[n] = draw(unit)
+    else:
+        outer = draw(st.lists(code, min_size=deg + 1, max_size=deg + 1))
+        if shape == "trailing zeros":
+            outer += [0] * draw(st.integers(1, 40))
+    inner = [0] * og + [draw(unit)] + draw(
+        st.lists(code, min_size=t, max_size=t))
+    cap = draw(st.one_of(st.none(), st.integers(0, t)))
+    return Series(field, outer), Series(field, inner[: t + 1], t), cap
+
+
+@laws
+@given(split_cases())
+def test_compose_split_matches_power_loop(case):
+    f, g, cap = case
+    dom, og = f.dom, g.ord_floor()
+    got = f.compose(g, trunc=cap)
+    t = min(g.trunc, (f.trunc + 1) * og - 1)
+    if cap is not None:
+        t = min(t, cap)
+    want = compose_by_powers(dom, dom.vector(f.coeffs),
+                             dom.vector(g.coeffs[: t + 1]), og, t)
+    assert got.trunc == t
+    assert got.coeffs == list(want)
