@@ -28,6 +28,7 @@ from .invariants import InvariantProfile, profile
 from .normalizer import (ConjugacyWitness, min_trunc, solve_prescribed,
                          target_germ, verify_conjugacy)
 from .series import Germ1D, Series
+from .sides import OrderedLeft, OrderedRight
 
 _INF = math.inf
 
@@ -370,6 +371,16 @@ class LaurentDomain:
         prec) differ from the loop's."""
         return compose_by_powers(self, outer, inner, og, t)
 
+    def left_side(self, unit, d, n_hi):
+        """The engine's left-side kernel: one phi at a time, in the order
+        that fixes every precision (:class:`~germ.sides.OrderedLeft`)."""
+        return OrderedLeft(self, unit, d, n_hi)
+
+    def right_side(self, n_hi, supp):
+        """The engine's chain kernel: the ordered chain sums
+        (:class:`~germ.sides.OrderedRight`)."""
+        return OrderedRight(self, n_hi, supp)
+
     def inv(self, x):
         if self.is_zero(x):
             raise DivisionByZero("inverse of 0 in the Laurent ring")
@@ -437,15 +448,6 @@ class LaurentDomain:
             prec = (x.prec + step - 1) // step
             out = out[:prec]
         return self._mk(x.val // step, out, prec)
-
-    # -- lifting -------------------------------------------------------------------
-
-    def lift_series(self, s):
-        """A finite-field series lifted to constant Laurent coefficients."""
-        return Series(self, [self.constant(c) for c in s.coeffs], s.trunc)
-
-    def lift_germ(self, f):
-        return Germ1D(self, self.lift_series(f.series))
 
 
 def tval(x):

@@ -26,6 +26,7 @@ from .errors import (
     ReducibleModulus,
     ValidationError,
 )
+from .sides import BlockLeft, RelaxedRight
 
 FIELD_CAP = 2 ** 64
 _TABLE_LIMIT = 1 << 16      # build exp/log tables up to this field size
@@ -274,8 +275,10 @@ class _DigitTables:
     the p**(i+1) <= 256; ``plane_digits[x]`` are the digits of x below
     p**len(planes).  When p <= 100, ``chunk_add`` and ``chunk_neg`` add and
     negate chunks of ``chunk_len`` = c digits, ``chunk`` = p**c <= 100, so
-    the sum table, built on first use, holds at most 10**4 entries however
-    large p**k is; above 100 ``chunk`` is None.
+    the sum table holds at most 10**4 entries however large p**k is; both
+    are None until :meth:`chunk_tables` first builds them.  Above 100
+    ``chunk`` is None.  Every attribute is set in ``__init__``: one added
+    later would slow every attribute read of the shared instance.
     """
 
     def __init__(self, p):
@@ -290,20 +293,20 @@ class _DigitTables:
                 self.planes.append(bytes(v // w % p for v in range(256)))
         self.plane_digits = [bytes(plane[x] for plane in self.planes)
                              for x in range(p ** len(self.planes))]
-        self.chunk = None
+        self.chunk = self.chunk_len = None
+        self.chunk_add = self.chunk_neg = None
         if p <= 100:
             self.chunk_len = 1
             while p ** (self.chunk_len + 1) <= 100:
                 self.chunk_len += 1
             self.chunk = p ** self.chunk_len
 
-    @functools.cached_property
-    def chunk_add(self):
-        return _digit_sum_table(self.p, self.chunk_len)
-
-    @functools.cached_property
-    def chunk_neg(self):
-        return [row.index(0) for row in self.chunk_add]
+    def chunk_tables(self):
+        """(chunk_add, chunk_neg), built on first use."""
+        if self.chunk_add is None:
+            self.chunk_add = _digit_sum_table(self.p, self.chunk_len)
+            self.chunk_neg = [row.index(0) for row in self.chunk_add]
+        return self.chunk_add, self.chunk_neg
 
 
 _digit_tables = functools.cache(_DigitTables)
@@ -620,16 +623,21 @@ class Field:
 
     def add(self, a, b):
         """a + b: xor when p = 2, the full table up to 256 elements, and
-        above that chunk by chunk of digits (digit by digit when p > 100)."""
+        above that by digits (:meth:`_add_digits`)."""
         if self.p == 2:
             return a ^ b
         if self._add_tab is not None:
             return self._add_tab[a][b]
+        return self._add_digits(a, b)
+
+    def _add_digits(self, a, b):
+        """a + b over odd p: chunk by chunk of digits through the sum
+        table, and digit by digit when p > 100."""
         tabs = self._digits
         if tabs.chunk is None:
             return self._encode([x + y for x, y in
                                  zip(self._decode(a), self._decode(b))])
-        size, add = tabs.chunk, tabs.chunk_add
+        size, add = tabs.chunk, tabs.chunk_add or tabs.chunk_tables()[0]
         out, w = 0, 1
         while a or b:
             a, x = divmod(a, size)
@@ -639,6 +647,8 @@ class Field:
         return out
 
     def neg(self, a):
+        """-a: the identity when p = 2, the table up to 2**16 elements, and
+        above that chunk by chunk of digits (digit by digit when p > 100)."""
         if self.p == 2:
             return a
         if self._neg_tab is not None:
@@ -646,7 +656,7 @@ class Field:
         tabs = self._digits
         if tabs.chunk is None:
             return self._encode([-c for c in self._decode(a)])
-        size, negate = tabs.chunk, tabs.chunk_neg
+        size, negate = tabs.chunk, tabs.chunk_neg or tabs.chunk_tables()[1]
         out, w = 0, 1
         while a:
             a, x = divmod(a, size)
@@ -867,6 +877,17 @@ class Field:
                 dilated = self.conv(power, dilated, t - lo)
             out = self.add_shifted(out, dilated, lo, t + 1)
         return out
+
+    def left_side(self, unit, d, n_hi):
+        """The engine's left-side kernel: fixed phi's added in blocks by
+        baby-step/giant-step (:class:`~germ.sides.BlockLeft`)."""
+        return BlockLeft(self, unit, d, n_hi)
+
+    def right_side(self, n_hi, supp):
+        """The engine's chain kernel: relaxed products
+        (:class:`~germ.sides.RelaxedRight`); over a field no sum's order
+        matters, so the registered support is not read."""
+        return RelaxedRight(self, n_hi)
 
     def dot(self, pairs):
         """The sum of x*y over the (x, y) code pairs, zero terms skipped."""

@@ -17,25 +17,25 @@ invariant positions r_k and L is the (exactly computable) linear
 coefficient on the left-hand side.  That map is F_p-linear, so over a
 finite field phi_j solves a k x k linear system over F_p; only when it has
 no solution is the minimal field extension located (``NeedExtension``),
-and ``fields.climb`` restarts the solve there.  Everything else is
-evaluated numerically from incrementally maintained truncated series:
+and ``fields.climb`` restarts the solve there.  Everything else is read
+from the domain's two side kernels (``germ.sides``), fed each phi_j as it
+is fixed:
 
-- the left side is linear in the phi's: L_partial = sum phi_h (1+eps) w^h
-  with w = y^d (1+eps), extended one product a time;
+- the left side is linear in the phi's, sum phi_h (1+eps) w^h with
+  w = y^d (1+eps); ``dom.left_side`` gives its coefficients from the fixed
+  phi's and the coefficient of each unknown;
 - the right side needs single coefficients of (T^m phi)^(d+i) for the
-  finitely many i with nonzero target coefficient; powers are reduced along
-  base-p digits of the exponent to cached "chains" whose entries are only
-  memoised once they no longer depend on unassigned phi's.  Each chain
-  coefficient is summed once: its terms that read only fixed phi's are
-  added left to right and kept, and the one term that reads the newest
-  unknown is added last, so the value read before that unknown is fixed
-  and the final value share one sum.
+  finitely many i with nonzero target coefficient, reduced along the
+  base-p digits of the exponent to "chains" (T^tau phi)^M, which
+  ``dom.right_side`` gives with the unfixed phi's read as zero.
 
-Assigning phi_j updates the left side and the twist powers by whole
-vectors of the domain's ``vector`` type, a one-term ``conv`` plus
-``add_shifted`` (a one-term write is an ``add_shifted`` alone), which over
-either domain adds each coefficient's terms in the order a scalar loop
-would.
+Over F_q((t)) the kernels add every term in one fixed order, since that
+order sets each output's precision: one product and one scaled update per
+phi on the left, and chain sums whose final terms are kept and whose term
+reading the newest unknown is added last.  Over F_q they regroup the same
+sums: the left side adds fixed phi's in blocks by baby-step/giant-step,
+and the chains are relaxed products.  The engine itself never learns
+which.
 
 Setting unassigned coefficients to zero during evaluation is sound: the
 dependence of each equation on not-yet-fixed unknowns other than phi_j is
@@ -171,16 +171,10 @@ class _Engine:
         self.transcript = []
 
         self.phis = [dom.one]
-        self.frontier = 0
-        self.wlist = [self.eps]             # W_h = (1+eps) * w^h, w = y^d(1+eps)
-        # sum of phi_h W_h over assigned h; a vector of its own, since
-        # add_shifted may build its result in the vector it is handed
-        self.lhs_acc = dom.vector(self.eps)
+        self.supp = []              # (i, step, M, tau) with eps_t[i] != 0
         self.eps_t = {}
-        self.supp = []                      # (i, step, M, tau) with eps_t[i] != 0
-        self.twistpow = {}                  # tau -> [None, psi, ..., psi^c]
-        self.chains = {}                    # (tau, M) -> memoised prefix
-        self.partials = {}                  # (tau, M, l) -> final b >= 1 sum
+        self.left = dom.left_side(self.eps, self.d, n_hi)
+        self.right = dom.right_side(n_hi, self.supp)
 
         # slot bases: the distinct invariant positions, with the multiplier
         # of the unknown's Frobenius power they inject into the right side
@@ -215,119 +209,23 @@ class _Engine:
             self.transcript.append(
                 {"kind": "eps", "n": i, "value": value})
 
-    # -- left-hand side --------------------------------------------------------
-
-    def _W(self, h):
-        dom, d, n_hi = self.dom, self.d, self.n_hi
-        while len(self.wlist) <= h:
-            # W_hh = W_(hh-1) * y^d (1+eps); W_(hh-1) vanishes below d(hh-1)
-            lo = d * len(self.wlist)
-            prod = dom.conv(self.wlist[-1][lo - d: n_hi + 1 - d], self.eps,
-                            n_hi - lo)
-            self.wlist.append(dom.vector([dom.zero] * min(lo, n_hi + 1)) +
-                              prod)
-        return self.wlist[h]
+    # -- the two sides -------------------------------------------------------
 
     def _lhs(self, n, last):
         """lhs_n from the assigned phi's; asserts that no phi_h with
         h > ``last`` enters it."""
         for h in range(last + 1, n // self.d + 1):
-            if not self.dom.is_zero(self._W(h)[n]):
+            if not self.dom.is_zero(self.left.unknown_coef(n, h)):
                 raise UnassignedDependency(
                     f"lhs at degree {n} touches unassigned phi_{h}")
-        return self.lhs_acc[n]
-
-    def _unknown_coef(self, n, j):
-        """The coefficient W_j[n] of the unknown phi_j in lhs_n."""
-        return self._W(j)[n] if self.d * j <= n else self.dom.zero
-
-    # -- right-hand side ---------------------------------------------------------
-
-    def _twist_power(self, tau, c):
-        """Coefficients of psi^c, psi = T^tau phi, unassigned phi's read as
-        zero.  A family starts with every power the registered support will
-        read and grows only when a later eps needs a higher one: over a
-        Laurent domain a power's precision depends on when it was formed."""
-        dom, n_hi = self.dom, self.n_hi
-        fam = self.twistpow.get(tau)
-        if fam is None:
-            psi = [dom.frob(v, tau) for v in self.phis]
-            fam = [None, dom.vector(psi + [dom.zero] * (n_hi + 1 - len(psi)))]
-            self.twistpow[tau] = fam
-            for (_, _, mexp, tau0) in self.supp:
-                if tau0 <= tau:
-                    c = max(c, mexp // self.p ** (tau - tau0) % self.p)
-        while len(fam) <= c:
-            fam.append(dom.conv(fam[-1], fam[1], n_hi))
-        return fam[c]
-
-    def _final_cap(self, tau, mexp):
-        if mexp % self.p:
-            return self.frontier
-        return self.p * self._final_cap(tau + 1, mexp // self.p) + self.p - 1
-
-    def _chain_coef(self, tau, mexp, l):
-        """Coefficient l of (T^tau phi)^mexp, unassigned phi's read as zero."""
-        dom = self.dom
-        if l < 0 or l > self.n_hi:
-            return dom.zero
-        if mexp == 0:
-            return dom.one if l == 0 else dom.zero
-        if mexp < self.p:
-            return self._twist_power(tau, mexp)[l]
-        if mexp % self.p == 0:
-            if l % self.p:
-                return dom.zero
-            return self._chain_coef(tau + 1, mexp // self.p, l // self.p)
-        key = (tau, mexp)
-        vals = self.chains.get(key)
-        if vals is None:
-            vals = []
-            self.chains[key] = vals
-        if l < len(vals):
-            return vals[l]
-        cap = min(l, self._final_cap(tau, mexp))
-        while len(vals) <= cap:
-            vals.append(self._chain_compute(tau, mexp, len(vals), True))
-        if l < len(vals):
-            return vals[l]
-        return self._chain_compute(tau, mexp, l, False)  # transient
-
-    def _chain_compute(self, tau, mexp, l, final):
-        """Coefficient l of (T^tau phi)^mexp = psi^c0 (T^(tau+1) phi)^mp with
-        c0 = mexp mod p: the sum over b of s_b a_(l-pb), s the inner power's
-        coefficients and a psi^c0's.  The terms b >= 1 are summed once, left
-        to right; once they are all final their sum is kept until the
-        coefficient itself is.  The term b = 0 reads a_l, the newest
-        unknown, and is added last."""
-        dom, p = self.dom, self.p
-        add, mul, zero = dom.add, dom.mul, dom.is_zero
-        mp = mexp // p
-        small = self._twist_power(tau, mexp % p)
-        key = (tau, mexp, l)
-        rest = self.partials.pop(key, None) if final else \
-            self.partials.get(key)
-        if mp < p:
-            inner = self._twist_power(tau + 1, mp)
-        else:
-            inner = [self._chain_coef(tau + 1, mp, b) for b in
-                     range(1 if rest is not None else l // p + 1)]
-        if rest is None:
-            rest = dom.dot([(inner[b], small[l - p * b])
-                            for b in range(1, l // p + 1)])
-            if not final and l - p <= self.frontier and \
-                    l // p <= self._final_cap(tau + 1, mp):
-                self.partials[key] = rest
-        s, a = inner[0], small[l]
-        if zero(s) or zero(a):
-            return rest
-        return add(rest, mul(s, a))
+        return self.left.coef(n)
 
     def _rhs_known(self, n):
         """rhs_n with every unassigned unknown read as zero."""
         supp = self.supp[: bisect_right(self.supp, (n, math.inf))]
+        chain = self.right.coef
         return self.dom.dot([
-            (self.eps_t[i], self._chain_coef(tau, mexp, (n - i) // step))
+            (self.eps_t[i], chain(tau, mexp, (n - i) // step))
             for i, step, mexp, tau in supp if (n - i) % step == 0])
 
     def _slots(self, n, j):
@@ -370,35 +268,10 @@ class _Engine:
     def _assign_phi(self, j, value):
         if j != len(self.phis):
             raise AssertionError("phi assigned out of order")
-        dom = self.dom
         self.phis.append(value)
-        self.frontier = j
         self.transcript.append({"kind": "phi", "n": j, "value": value})
-        if dom.is_zero(value):
-            return
-        n_hi = self.n_hi
-        conv, add_shifted = dom.conv, dom.add_shifted
-        lo = self.d * j
-        if lo <= n_hi:
-            self.lhs_acc = add_shifted(
-                self.lhs_acc, conv(dom.vector([value]), self._W(j)[lo:],
-                                   n_hi - lo), lo, n_hi + 1)
-        for tau, fam in self.twistpow.items():
-            dtw = dom.frob(value, tau)
-            for c in range(len(fam) - 1, 0, -1):
-                dpow = dom.one
-                for l in range(1, c + 1):
-                    dpow = dom.mul(dpow, dtw)
-                    off = j * l
-                    if off > n_hi:
-                        break
-                    coef = math.comb(c, l) % self.p
-                    if coef == 0:
-                        continue
-                    cd = dom.vector([dom.mul(dom.from_int(coef), dpow)])
-                    if c != l:
-                        cd = conv(cd, fam[c - l], n_hi - off)
-                    fam[c] = add_shifted(fam[c], cd, off, n_hi + 1)
+        self.left.assign(j, value)
+        self.right.assign(j, value)
 
     # -- driving ----------------------------------------------------------------------
 
@@ -418,8 +291,8 @@ class _Engine:
         dom = self.dom
         nstar = _representative(self.fibers, self.nj_rule, self.nj_table, j)
         q = dom.sub(self._lhs(nstar, j), self._rhs_known(nstar))
-        cands = self._unknown_candidates(q, self._slots(nstar, j),
-                                         self._unknown_coef(nstar, j), nstar)
+        cands = self._unknown_candidates(
+            q, self._slots(nstar, j), self.left.unknown_coef(nstar, j), nstar)
         idx = self._take_choice(len(cands))
         self._register_eps(nstar, dom.zero)
         self.transcript[-1]["roots_considered"] = len(cands)
@@ -440,7 +313,7 @@ class _Engine:
         dom = self.dom
         pieces = []
         for n in members:
-            pieces.append((n, self._lhs(n, j), self._unknown_coef(n, j),
+            pieces.append((n, self._lhs(n, j), self.left.unknown_coef(n, j),
                            self._rhs_known(n), self._slots(n, j)))
         # prefer equations with the simplest dependence on the unknown; fall
         # through when a member's additive equation is not solvable here

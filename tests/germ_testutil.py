@@ -8,6 +8,7 @@ from germ.analytic import LaurentDomain, LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
 from germ.fields import Field, compose_by_powers, field_create
 from germ.series import Germ1D, Series
+from germ.sides import OrderedLeft, OrderedRight
 
 
 def make_germ(field, m, d, trunc, rng, r0_cap=1, density=0.9):
@@ -73,6 +74,14 @@ def schoolbook_field_add(field, a, b):
     p = field.p
     return sum((x + y) % p * p ** i for i, (x, y) in enumerate(
         zip(schoolbook_digits(field, a), schoolbook_digits(field, b))))
+
+
+def schoolbook_field_neg(field, a):
+    """Reference for ``field.neg``: the digit-wise negation mod p, digit by
+    digit."""
+    p = field.p
+    return sum(-x % p * p ** i
+               for i, x in enumerate(schoolbook_digits(field, a)))
 
 
 def schoolbook_digits(field, code):
@@ -148,12 +157,28 @@ def power_loop_compose(field, outer, inner, og, t):
                              og, t)
 
 
+def ordered_left_side(field, unit, d, n_hi):
+    """Reference for ``Field.left_side``: the engine's left side one phi at
+    a time, as over F_q((t))."""
+    return OrderedLeft(field, unit, d, n_hi)
+
+
+def ordered_right_side(field, n_hi, supp):
+    """Reference for ``Field.right_side``: the ordered chain sums, as over
+    F_q((t))."""
+    return OrderedRight(field, n_hi, supp)
+
+
 _REFERENCE_KERNELS = {
     (Field, "conv"): schoolbook_conv,
     (Field, "add_shifted"): schoolbook_add_shifted,
     (Field, "compose"): power_loop_compose,
     (Field, "_raw_mul"): _reference_raw_mul,
     (Field, "dot"): schoolbook_dot,
+    (Field, "_add_digits"): schoolbook_field_add,
+    (Field, "neg"): schoolbook_field_neg,
+    (Field, "left_side"): ordered_left_side,
+    (Field, "right_side"): ordered_right_side,
     (LaurentDomain, "conv"): laurent_conv_reference,
     (LaurentDomain, "dot"): laurent_dot_reference,
 }
@@ -162,10 +187,13 @@ _REFERENCE_KERNELS = {
 @contextlib.contextmanager
 def reference_kernels():
     """Run every ``Field`` and ``LaurentDomain`` on the schoolbook
-    references: ``Field.conv``, ``add_shifted``, ``dot`` and the table-free
-    product ``_raw_mul``, ``Field.compose`` as the power loop with no
-    Frobenius split, and ``LaurentDomain.conv`` and ``dot`` as one ``add``
-    of one ``mul`` per term.
+    references: ``Field.conv``, ``add_shifted``, ``dot``, the table-free
+    product ``_raw_mul``, the chunked odd-p sum ``_add_digits`` and
+    ``neg`` digit by digit, ``Field.compose`` as the power loop with no
+    Frobenius split, ``Field``'s engine kernels ``left_side`` and
+    ``right_side`` as the ordered ones of ``LaurentDomain``, and
+    ``LaurentDomain.conv`` and ``dot`` as one ``add`` of one ``mul`` per
+    term.
 
     Yields a Counter of the calls each reference took, keyed
     ``"Field.conv"`` and so on, so a caller can tell that the swap took
@@ -189,6 +217,16 @@ def reference_kernels():
     finally:
         for (cls, name), kernel in saved.items():
             setattr(cls, name, kernel)
+
+
+def laurent_lift_series(dom, s):
+    """A finite-field series lifted to constant coefficients of the
+    Laurent domain ``dom`` over its field."""
+    return Series(dom, [dom.constant(c) for c in s.coeffs], s.trunc)
+
+
+def laurent_lift_germ(dom, f):
+    return Germ1D(dom, laurent_lift_series(dom, f.series))
 
 
 # Laurent scalar ops as they were before the digit work moved into the Field

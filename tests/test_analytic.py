@@ -13,6 +13,7 @@ from germ.fields import field_create
 from germ.invariants import InvariantProfile, profile
 from germ.normalizer import ConjugacyWitness, solve_prescribed
 from germ.series import Germ1D, Series
+from germ_testutil import laurent_lift_germ
 
 F3 = field_create(3, 1)
 L = LaurentDomain(F3, prec=32)
@@ -94,7 +95,7 @@ def laurent_germ(support, trunc=24, prec=32):
 
 def test_conjugacy_constant_coefficients_match_field_solver():
     f = Germ1D(F3, Series.from_ints(F3, [0, 0, 0, 1, 1, 0, 1], 24))
-    lf = L.lift_germ(f)
+    lf = laurent_lift_germ(L, f)
     wit = conjugacy_to_truncation(lf, order=40)
     assert all(c.val >= 0 for c in wit.phi.coeffs)
     # solving downstairs then lifting agrees coefficientwise

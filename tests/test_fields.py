@@ -521,3 +521,23 @@ def test_additive_roots_match_brute_force(p, k):
                 want.append(z)
         want.sort(key=field.to_vec)
         assert additive_roots(field, terms, q) == want, (kind, terms, q)
+
+
+def test_digit_tables_keep_their_attributes_when_filled():
+    # the chunk tables are filled on first use into attributes set in
+    # __init__: a key added later would slow every attribute read of the
+    # instance every field of characteristic p shares
+    tabs = fields._DigitTables(5)
+    keys = set(vars(tabs))
+    assert tabs.chunk_add is None and tabs.chunk_neg is None
+    add, neg = tabs.chunk_tables()
+    assert set(vars(tabs)) == keys
+    assert tabs.chunk_tables() == (add, neg)
+    size = tabs.chunk
+    assert all(add[x][neg[x]] == 0 for x in range(size))
+    f = field_create(5, 12)             # table-free: adds by chunks
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.add(a, b) == schoolbook_field_add(f, a, b)
+        assert f.add(a, f.neg(a)) == 0

@@ -19,7 +19,8 @@ from germ.fields import field_create  # noqa: E402
 from germ.series import Series  # noqa: E402
 from germ_testutil import (laurent_add_reference,  # noqa: E402
                            laurent_conv_reference, laurent_dot_reference,
-                           laurent_mk_reference, laurent_mul_reference)
+                           laurent_lift_series, laurent_mk_reference,
+                           laurent_mul_reference)
 
 
 # F_2, F_4: packed xor; F_3, F_5, F_7: packed add and translate, and F_5 and
@@ -215,7 +216,7 @@ def test_units_keep_the_domain_type(pair):
     if x.unit:
         out += [dom.inv(x), dom.div(y, x)]
     f = Series(dom.base, [0, 1, dom.base.q - 1], 2)
-    out += dom.lift_series(f).coeffs
+    out += laurent_lift_series(dom, f).coeffs
     assert [type(z.unit) for z in out] == [_unit_type(dom)] * len(out)
 
 

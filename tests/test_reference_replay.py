@@ -85,8 +85,9 @@ def _laurent_witness():
 
 def test_reference_kernels_take_effect():
     names = [(Field, "conv"), (Field, "add_shifted"), (Field, "_raw_mul"),
-             (Field, "dot"), (Field, "compose"), (LaurentDomain, "conv"),
-             (LaurentDomain, "dot")]
+             (Field, "dot"), (Field, "compose"), (Field, "_add_digits"),
+             (Field, "neg"), (Field, "left_side"), (Field, "right_side"),
+             (LaurentDomain, "conv"), (LaurentDomain, "dot")]
     packed = {key: getattr(*key) for key in names}
     field = field_create(3, 11)
     f = make_germ(field, 0, 3, 24, random.Random(5))
