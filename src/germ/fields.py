@@ -203,13 +203,13 @@ def _is_irreducible(f, p, start=1):
     f (:func:`_poly_gcd`) is taken at d = 1, 2, 4, 8, .. and n/2, so a
     factor of degree d shows at the first of those at or after d, for a
     gcd per doubling of d instead of one per d.  A caller that has ruled
-    out every linear factor passes ``start=2``."""
+    out every factor of degree below ``start`` passes it."""
     n = len(f) - 1
-    if n <= 1:
-        return n == 1
+    last = n // 2
+    if n <= 1 or start > last:
+        return n >= 1
     ring, fp = _FoldProduct(p, f), field_create(p, 1)
     y, acc = p, 1                               # p: the code of x
-    last = n // 2
     for d in range(1, last + 1):
         y = ring.pow(y, p)
         if d < start:
@@ -224,18 +224,80 @@ def _is_irreducible(f, p, start=1):
     return True
 
 
+def _factor_sieve(p, k):
+    """(test, top): ``test(f)`` is true when the monic f of degree k over
+    F_p (a code list, low degree first) has no factor of degree <= top, the
+    least of k // 2 and the largest d with p**d <= 128 (F_{3^5}, with its
+    addition table, costs more to build than its sieve saves); top is 0
+    unless a byte holds a digit product, (p - 1)**2 < 256.
+
+    A factor of degree e <= top means a root in F_{p^d} for the multiple d
+    of e in (top/2, top], so f is evaluated at every nonzero a of those
+    fields at once.  The digits of a**i over all the points, digit plane
+    by digit plane, are one int per exponent i, one byte a digit; f(a) is
+    the sum of c_i times those ints, reduced by translates whenever a byte
+    could overflow, and a point whose planes are all 0 is a root."""
+    top = 0
+    while (p - 1) ** 2 < 256 and p ** (top + 1) <= 128 and top < k // 2:
+        top += 1
+    # the points g**t, t < q - 1, of each field, as its exp table
+    exps = [bytes(field_create(p, d)._exp)
+            for d in range(top // 2 + 1, top + 1)]
+    n = sum(map(len, exps))
+    size = n * top
+    tabs = _digit_tables(p)
+    byte_mod, step = tabs.byte_mod, (p - 1) ** 2
+    powers = {}
+
+    def planes(i):
+        # digit j of a**i over every point a: byte j*n + t for point t;
+        # (g**t)**i is exp[t*i mod (q-1)], every i-th entry of exp repeated
+        x = powers.get(i)
+        if x is None:
+            codes = b"".join((e * i)[::i] if i else b"\1" * len(e)
+                             for e in exps)
+            x = powers[i] = int.from_bytes(b"".join(
+                codes.translate(tabs.planes[j]) for j in range(top)),
+                "little")
+        return x
+
+    def test(f):
+        if not top:
+            return True
+        if not f[0]:        # a root at 0
+            return False
+        acc, room = 0, 255
+        for i, c in enumerate(f):
+            if c:
+                if room < step:
+                    acc = int.from_bytes(acc.to_bytes(size, "little")
+                                         .translate(byte_mod), "little")
+                    room = 256 - p
+                acc += c * planes(i)
+                room -= step
+        digits = acc.to_bytes(size, "little").translate(byte_mod)
+        nonzero = 0
+        for j in range(0, size, n):
+            nonzero |= int.from_bytes(digits[j: j + n], "little")
+        return 0 not in nonzero.to_bytes(n, "little")
+    return test, top
+
+
 @functools.cache
 def default_modulus(p, k):
     """Deterministic monic irreducible of degree k over Z_p.
 
     The search counts an index upward and unpacks it base p into the low
     coefficients (c_0 least significant), so two runs agree bit for bit.
-    A candidate with a root at 1 or -1 is reducible and skips Ben-Or's test;
-    when p <= 3 that leaves no linear factor, so the test starts at d = 2.
-    Memoized: every climb of the tower asks again for the same (p, k).
+    A candidate with a root at 0, 1 or -1 is reducible and skips Ben-Or's
+    test, and so does, for p <= 16, one with a factor of degree up to a
+    bound found by evaluation over small fields (:func:`_factor_sieve`);
+    the test starts past that bound.  Memoized: every climb of the tower
+    asks again for the same (p, k).
     """
     if k == 1:
         return (0, 1)
+    sieve, top = _factor_sieve(p, k)
     idx = 1
     while True:
         c, rest = [], idx
@@ -245,7 +307,7 @@ def default_modulus(p, k):
         if rest == 0 and c[0] != 0:
             f = c + [1]
             if sum(f) % p and (sum(f[::2]) - sum(f[1::2])) % p and \
-                    _is_irreducible(f, p, 2 if p <= 3 else 1):
+                    sieve(f) and _is_irreducible(f, p, top + 1):
                 return tuple(f)
         if rest:
             raise ReducibleModulus(f"no irreducible of degree {k} found mod {p}")
@@ -337,6 +399,7 @@ class _FoldProduct:
     def __init__(self, p, f):
         n = len(f) - 1
         self.p, self.n, self.stride = p, n, 2 * n - 1
+        self.modulus = tuple(f)
         self.width = (n * (p - 1) ** 2).bit_length() + 7 >> 3
         self.tables = _digit_tables(p)
         # codes are cut into chunks of ``span`` digits, a byte when p < 256
@@ -345,11 +408,18 @@ class _FoldProduct:
         self.span_weights = sum(p ** (span - 1 - i) << 8 * i
                                 for i in range(span))
         row = x_n = [(-c) % p for c in f[:n]]
+        packed = self.spread(row, self.width)
         self.fold_rows = []
         for _ in range(n - 1):
-            self.fold_rows.append(self.spread(row, self.width))
-            # times x: up one digit, the digit of x**n folded back
-            row = [(lo + row[-1] * c) % p for lo, c in zip([0] + row, x_n)]
+            self.fold_rows.append(packed)
+            # times x: up one digit, the digit of x**n folded back; with
+            # that digit 0 (most rows, when f's low part is short) a shift
+            top, row = row[-1], [0] + row[:-1]
+            if top:
+                row = [(lo + top * c) % p for lo, c in zip(row, x_n)]
+                packed = self.spread(row, self.width)
+            else:
+                packed <<= 8 * self.width
 
     def digits(self, code):
         """The n digits of a code, low first: bytes when p < 256."""
@@ -493,10 +563,10 @@ class _FoldProduct:
         return 1 if r is None else self.code(self.reduce(r, self.n, width))
 
     def linear(self, cols, a):
-        """The image of code a under the F_p-linear map that takes x**i to
-        the residue packed in cols[i]."""
-        return self.code(self.reduce(self.along(self.pack(a), cols, 0, 1),
-                                     self.n, self.width))
+        """The digits of the image of code a under the F_p-linear map that
+        takes x**i to the digits packed in cols[i]."""
+        return self.reduce(self.along(self.pack(a), cols, 0, 1), self.n,
+                           self.width)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +583,13 @@ class Field:
     use :func:`field_create` so descriptors stay canonical.  Descriptors are
     immutable after construction and safe to share; the lazily filled
     embedding and Frobenius caches only ever grow and their entries are
-    pure, so concurrent readers cannot observe a wrong value.
+    pure, so concurrent readers cannot observe a wrong value.  One more
+    cache holds a single entry: the last additive map solved, with its
+    reduced form (:func:`additive_roots`).  A solve over one field asks
+    for the same map many times in a row, so one slot is as good as an
+    unbounded cache there.  The slot is set in ``_build_tables`` with
+    every other attribute and replaced as one tuple, so a reader sees the
+    old map or the new one, each whole and pure, and never half of either.
 
     Fields up to 2**16 elements multiply through exp/log tables.  Above
     that, products, powers and inverses go through the fold-row product
@@ -584,6 +660,9 @@ class Field:
         # added later would slow every attribute read of that field
         self._log_row = self._frob_row = None
         self._rows = {}
+        # the last additive map solved over this field, with its reduced
+        # form: (terms, cols, free, kernel), see :func:`additive_roots`
+        self._additive = None
         # the most terms a one-byte slot of an F_p product can sum
         self._byte_terms = 255 // (p - 1) ** 2 if k == 1 else 0
         if q > _TABLE_LIMIT:
@@ -597,15 +676,37 @@ class Field:
             if all(self._raw_pow(cand, (q - 1) // t) != 1 for t in factors):
                 g = cand
                 break
-        # x -> g*x is F_p-linear: split x = lo + P*hi and add the images
-        P = p ** ((k + 1) // 2)
-        lo_tab = [self._raw_mul(g, a) for a in range(P)]
-        hi_tab = [self._raw_mul(g, P * a) for a in range(q // P)]
+        # x -> g*x is F_p-linear: split x = lo + P*hi and add the images of
+        # the halves, each half table summed digit by digit from the images
+        # of d*p**i, (p-1)*k products in all
+        h = (k + 1) // 2
+        P = p ** h
         add = operator.xor if p == 2 else self.add
+        lo_tab, hi_tab = [0], [0]
+        for i in range(k):
+            tab = lo_tab if i < h else hi_tab
+            col = [0] + [self._raw_mul(g, d * p ** i) for d in range(1, p)]
+            tab[:] = [add(v, c) for c in col for v in tab]
         exp = [1] * (q - 1)
         x = 1
-        for i in range(1, q - 1):
-            x = exp[i] = add(lo_tab[x % P], hi_tab[x // P])
+        if p == 2:
+            for i in range(1, q - 1):
+                x = exp[i] = lo_tab[x & P - 1] ^ hi_tab[x >> h]
+        else:
+            # digits respread to radix r = 2p-1 add without a carry; the
+            # sum's low h and high k-h digits read back mod p by two tables
+            r = 2 * p - 1
+            lo_tab, hi_tab = ([sum(c * r ** i for i, c in
+                                   enumerate(self._decode(v))) for v in tab]
+                              for tab in (lo_tab, hi_tab))
+            R = r ** h
+            lo_out, hi_out = [0], [0]
+            for i in range(k):
+                out, w = lo_out if i < h else hi_out, p ** i
+                out[:] = [v + d % p * w for d in range(r) for v in out]
+            for i in range(1, q - 1):
+                s = lo_tab[x % P] + hi_tab[x // P]
+                x = exp[i] = lo_out[s % R] + hi_out[s // R]
         log = [-1] * q
         for i, c in enumerate(exp):
             log[c] = i
@@ -921,7 +1022,8 @@ class Field:
         the F_p-linear Frobenius matrix, whose columns are the images of the
         basis (:meth:`_frob_images`)."""
         if self._exp is None and self.k > 1:
-            return self._ring.linear(self._frob_images(m)[1], a)
+            ring = self._ring
+            return ring.code(ring.linear(self._frob_images(m)[1], a))
         return self.pow(a, self.p ** (m % self.k))
 
     def frob_root(self, a, m=1):
@@ -1217,91 +1319,80 @@ def additive_roots(field, terms, q):
 
     The left side is a linearized polynomial, so z -> sum(c * z**(p**s)) is
     F_p-linear: the solutions are one particular solution plus the kernel of
-    a k x k matrix over F_p whose column i is the image of alpha**i, built
-    from the cached Frobenius images of the basis.
+    a k x k matrix over F_p.  The map is reduced once
+    (:func:`_additive_map`) and kept in the field's one-map slot, so a
+    right side q costs one matrix-vector product through the packed-digit
+    layer, a look at the digits that must vanish, and the enumeration.
     """
+    terms = tuple(sorted(terms))
+    slot = field._additive
+    if slot is None or slot[0] != terms:
+        # replaced as one tuple: a reader never sees half of a map
+        slot = field._additive = (terms,) + _additive_map(field, terms)
+    _, cols, free, kernel = slot
+    z = field._ring.linear(cols, q)
+    if any(z[i] for i in free):
+        return []
+    p, code = field.p, field._ring.code
+    return [code(x) for x in sorted([(a + b) % p for a, b in zip(z, v)]
+                                    for v in kernel)]
+
+
+def _additive_map(field, terms):
+    """(cols, free, kernel) for the map z -> sum(c * z**(p**s)) over F_p.
+
+    Column i of its matrix M holds the digits of the image of alpha**i,
+    from the cached Frobenius images of the basis.  [M | I] is row-reduced
+    once, so E*M is in reduced echelon form for the row operations E.  G
+    takes row j of E to the j-th pivot column and the rows of E past the
+    rank to the free columns, so G*q holds a particular solution at the
+    pivot columns and, exactly when q is in the image, zeros at the
+    ``free`` ones; ``cols`` are G's columns packed for
+    :meth:`_FoldProduct.linear`.  ``kernel`` lists all p**len(free) digit
+    vectors of the kernel."""
     p, k = field.p, field.k
-    cols = [0] * k
+    images = [0] * k
     for s, c in terms:
         for i, image in enumerate(field._frob_images(s)[0]):
-            cols[i] = field.add(cols[i], field.mul(c, image))
-    pivots = _reduced_echelon(field, cols, q)
-    if pivots is None:
-        return []
-    sols = [[0] * k]
-    for col, row in pivots:
-        sols[0][col] = row[k]
-    for free in sorted(set(range(k)) - {col for col, _ in pivots}):
+            images[i] = field.add(images[i], field.mul(c, image))
+    rows = [list(row) + [int(i == j) for j in range(k)]
+            for i, row in enumerate(zip(*map(field._decode, images)))]
+    pivots = _reduced_echelon(rows, k, p)
+    free = [col for col in range(k) if col not in pivots]
+    g = [None] * k
+    for col, row in zip(pivots + free, rows):
+        g[col] = row[k:]
+    ring = field._ring
+    cols = [ring.spread([row[i] for row in g], ring.width) for i in range(k)]
+    kernel = [[0] * k]
+    for col in free:
         v = [0] * k
-        v[free] = 1
-        for col, row in pivots:
-            v[col] = -row[free] % p
-        sols = [[(a + t * b) % p for a, b in zip(x, v)]
-                for x in sols for t in range(p)]
-    sols.sort()
-    return [field._encode(x) for x in sols]
+        v[col] = 1
+        for pivot, row in zip(pivots, rows):
+            v[pivot] = -row[col] % p
+        kernel = [[(a + t * b) % p for a, b in zip(x, v)]
+                  for x in kernel for t in range(p)]
+    return cols, free, kernel
 
 
-def _reduced_echelon(field, cols, q):
-    """The reduced echelon form of the augmented matrix [M | q] over F_p,
-    where column i of M holds the digits of cols[i]: its (pivot column, row)
-    pairs in column order, or None when q is not in the image of M.
-
-    When p*p <= 256 the k rows of k+1 digits are one byte string, and
-    clearing a column is one product: the pivot row times the packed column
-    of multipliers, added to the whole matrix and reduced by one translate;
-    no entry exceeds p*(p - 1) on the way.  Otherwise rows are lists."""
-    p, k = field.p, field.k
-    n = k + 1
-    digits = [field._decode(c) for c in cols + [q]]
-    if p * p > 256:
-        rows = [list(row) for row in zip(*digits)]
-        pivots = []
-        for col in range(k):
-            r = len(pivots)
-            piv = next((i for i in range(r, k) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][col], p - 2, p)
-            rows[r] = [v * inv % p for v in rows[r]]
-            for i, row in enumerate(rows):
-                f = row[col]
-                if f and i != r:
-                    rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
-            pivots.append(col)
-        if any(row[k] for row in rows[len(pivots):]):
-            return None
-        return list(zip(pivots, rows))
-    tabs = field._digits
-    nonzero = bytes([0] + [1] * 255)      # v -> v != 0
-    mat = bytearray(k * n)
-    for i, col in enumerate(digits):
-        mat[i::n] = col
-    free = int.from_bytes(b"\1" * k, "little")   # a 1 at each non-pivot row
+def _reduced_echelon(rows, k, p):
+    """Row-reduce the list rows in place over F_p, pivoting in the first k
+    columns only: the pivot columns in order, their rows first."""
     pivots = []
     for col in range(k):
-        column = mat[col::n]
-        cand = int.from_bytes(column.translate(nonzero), "little") & free
-        if not cand:
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
             continue
-        r = (cand & -cand).bit_length() - 1 >> 3
-        start = r * n
-        row = (int.from_bytes(mat[start: start + n], "little") *
-               pow(column[r], p - 2, p)).to_bytes(n, "little").translate(
-                   tabs.byte_mod)
-        spread = bytearray(k * n)         # row r itself is written back
-        spread[::n] = column.translate(tabs.byte_neg)
-        mat = bytearray((int.from_bytes(mat, "little") +
-                         int.from_bytes(spread, "little") *
-                         int.from_bytes(row, "little")).to_bytes(
-                             k * n, "little").translate(tabs.byte_mod))
-        mat[start: start + n] = row
-        free ^= 1 << 8 * r
-        pivots.append((col, start))
-    if int.from_bytes(mat[k::n].translate(nonzero), "little") & free:
-        return None
-    return [(col, mat[start: start + n]) for col, start in pivots]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots
 
 
 def unity_relation(zeta, n):

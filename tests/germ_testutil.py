@@ -6,7 +6,9 @@ import math
 
 from germ.analytic import LaurentDomain, LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
-from germ.fields import Field, compose_by_powers, field_create
+from germ.fields import (Field, NeedExtension, _FoldProduct, _poly_divmod,
+                         _poly_gcd, _poly_mul, _strip, compose_by_powers,
+                         field_create, root_extension)
 from germ.series import Germ1D, Series
 from germ.sides import OrderedLeft, OrderedRight
 
@@ -60,12 +62,27 @@ def schoolbook_field_mul(field, a, b):
     """Reference for the table-free product of F_{p^k}: both codes decoded
     digit by digit, multiplied by ``_poly_mul`` over F_p, reduced by the
     modulus in ``_poly_divmod``, and the remainder encoded."""
-    from germ.fields import _poly_divmod, _poly_mul
-    fp = field_create(field.p, 1)
-    prod = _poly_mul(fp, schoolbook_digits(field, a),
-                     schoolbook_digits(field, b))
-    rem = _poly_divmod(fp, prod, list(field.modulus))[1]
-    return sum(c * field.p ** i for i, c in enumerate(rem))
+    return _schoolbook_product(field.p, field.modulus, a, b)
+
+
+def _schoolbook_product(p, modulus, a, b):
+    fp = field_create(p, 1)
+    n = len(modulus) - 1
+    prod = _poly_mul(fp, _digits(p, n, a), _digits(p, n, b))
+    rem = _poly_divmod(fp, prod, list(modulus))[1]
+    return sum(c * p ** i for i, c in enumerate(rem))
+
+
+def schoolbook_fold_pow(ring, a, e):
+    """Reference for ``_FoldProduct.pow``: a**e modulo the ring's modulus
+    by square and multiply, every product a schoolbook one."""
+    r = 1
+    while e:
+        if e & 1:
+            r = _schoolbook_product(ring.p, ring.modulus, r, a)
+        a = _schoolbook_product(ring.p, ring.modulus, a, a)
+        e >>= 1
+    return r
 
 
 def schoolbook_field_add(field, a, b):
@@ -86,9 +103,13 @@ def schoolbook_field_neg(field, a):
 
 def schoolbook_digits(field, code):
     """The k base-p digits of a code, low first, one divmod each."""
+    return _digits(field.p, field.k, code)
+
+
+def _digits(p, n, code):
     out = []
-    for _ in range(field.k):
-        code, d = divmod(code, field.p)
+    for _ in range(n):
+        code, d = divmod(code, p)
         out.append(d)
     return out
 
@@ -111,6 +132,108 @@ def schoolbook_dot(field, pairs):
     for x, y in pairs:
         acc = field.add(acc, field.mul(x, y))
     return acc
+
+
+def reference_additive_roots(field, terms, q):
+    """Reference for ``fields.additive_roots``, as it was before the map was
+    kept: for every q afresh, the k x k matrix over F_p whose column i is
+    the image of alpha**i (each found by ``field.pow``), [M | q] row-reduced
+    as lists, and the particular solution plus the whole kernel span,
+    sorted by coefficient vector."""
+    p, k = field.p, field.k
+    cols = [0] * k
+    for s, c in terms:
+        for i in range(k):
+            image = field.pow(p ** i if k > 1 else 1, p ** s)
+            cols[i] = field.add(cols[i], field.mul(c, image))
+    rows = [list(row) for row in
+            zip(*(schoolbook_digits(field, c) for c in cols + [q]))]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    if any(row[k] for row in rows[len(pivots):]):
+        return []
+    sols = [[0] * k]
+    for col, row in zip(pivots, rows):
+        sols[0][col] = row[k]
+    for free in sorted(set(range(k)) - set(pivots)):
+        v = [0] * k
+        v[free] = 1
+        for col, row in zip(pivots, rows):
+            v[col] = -row[free] % p
+        sols = [[(a + t * b) % p for a, b in zip(x, v)]
+                for x in sols for t in range(p)]
+    sols.sort()
+    return [sum(c * p ** i for i, c in enumerate(x)) for x in sols]
+
+
+def reference_field_additive_roots(field, terms, q):
+    """Reference for ``Field.additive_roots``: the roots by
+    :func:`reference_additive_roots`, NeedExtension when there is none."""
+    roots = reference_additive_roots(field, terms, q)
+    if roots:
+        return roots
+    coeffs = [0] * (field.p ** max(s for s, _ in terms) + 1)
+    coeffs[0] = field.neg(q)
+    for s, c in terms:
+        coeffs[field.p ** s] = field.add(coeffs[field.p ** s], c)
+    raise NeedExtension(root_extension(field, coeffs))
+
+
+def reference_tables(field):
+    """Reference for the exp, log and neg tables of a table field, as
+    ``Field._build_tables`` chained them before: the generator's images of
+    lo < P = p**ceil(k/2) and of P*hi by table-free products, then one
+    ``field.add`` of two images per element."""
+    p, k, q = field.p, field.k, field.q
+    g = field._exp[1]
+    P = p ** ((k + 1) // 2)
+    lo_tab = [field._raw_mul(g, a) for a in range(P)]
+    hi_tab = [field._raw_mul(g, P * a) for a in range(q // P)]
+    exp = [1] * (q - 1)
+    x = 1
+    for i in range(1, q - 1):
+        x = exp[i] = field.add(lo_tab[x % P], hi_tab[x // P])
+    log = [-1] * q
+    for i, c in enumerate(exp):
+        log[c] = i
+    half = (q - 1) // 2
+    neg = None if p == 2 else \
+        [0] + [exp[log[a] - half] for a in range(1, q)]
+    return exp, log, neg
+
+
+def reference_is_irreducible(f, p):
+    """Reference for Ben-Or's test as ``fields._is_irreducible`` ran it
+    before the factor sieve: from d = 1, x**(p**d) mod f by the fold-row
+    product, the x**(p**d) - x multiplied together and gcd'ed with f at
+    d = 1, 2, 4, 8, .. and n/2."""
+    n = len(f) - 1
+    if n <= 1:
+        return n == 1
+    ring, fp = _FoldProduct(p, f), field_create(p, 1)
+    y, acc = p, 1
+    last = n // 2
+    for d in range(1, last + 1):
+        y = ring.pow(y, p)
+        h = y - p if y // p % p else y + (p - 1) * p
+        acc = h if acc == 1 else ring.mul(acc, h)
+        if d & (d - 1) == 0 or d == last:
+            if len(_poly_gcd(fp, f, _strip(list(ring.digits(acc))))) != 1:
+                return False
+            acc = 1
+    return True
 
 
 def _reference_raw_mul(field, a, b):
@@ -179,6 +302,8 @@ _REFERENCE_KERNELS = {
     (Field, "neg"): schoolbook_field_neg,
     (Field, "left_side"): ordered_left_side,
     (Field, "right_side"): ordered_right_side,
+    (Field, "additive_roots"): reference_field_additive_roots,
+    (_FoldProduct, "pow"): schoolbook_fold_pow,
     (LaurentDomain, "conv"): laurent_conv_reference,
     (LaurentDomain, "dot"): laurent_dot_reference,
 }
@@ -191,9 +316,12 @@ def reference_kernels():
     product ``_raw_mul``, the chunked odd-p sum ``_add_digits`` and
     ``neg`` digit by digit, ``Field.compose`` as the power loop with no
     Frobenius split, ``Field``'s engine kernels ``left_side`` and
-    ``right_side`` as the ordered ones of ``LaurentDomain``, and
-    ``LaurentDomain.conv`` and ``dot`` as one ``add`` of one ``mul`` per
-    term.
+    ``right_side`` as the ordered ones of ``LaurentDomain``,
+    ``Field.additive_roots`` as a fresh elimination for every right side,
+    with no kept map, ``_FoldProduct.pow`` (table builds, inverses and
+    powers of table-free fields, Ben-Or's test) by square and multiply
+    over schoolbook products, and ``LaurentDomain.conv`` and ``dot`` as one
+    ``add`` of one ``mul`` per term.
 
     Yields a Counter of the calls each reference took, keyed
     ``"Field.conv"`` and so on, so a caller can tell that the swap took

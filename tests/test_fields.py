@@ -10,11 +10,12 @@ from germ import fields
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
 from germ.fields import (_REGISTRY, Field, NeedExtension, _is_irreducible,
-                         _prime_factors, additive_roots, climb,
+                         _poly_mul, _prime_factors, additive_roots, climb,
                          default_modulus, field_create, poly_roots,
                          root_extension, unity_relation)
-from germ_testutil import (schoolbook_digits, schoolbook_field_add,
-                           schoolbook_field_mul)
+from germ_testutil import (reference_additive_roots, reference_is_irreducible,
+                           reference_tables, schoolbook_digits,
+                           schoolbook_field_add, schoolbook_field_mul)
 
 
 def test_field_create_examples():
@@ -409,6 +410,49 @@ def test_field_tables_pinned(p, k):
         _PINNED_TABLES[p, k]
 
 
+@pytest.mark.parametrize("p,k", [(5, 6), (7, 5), (13, 3), (251, 2)])
+def test_tables_match_the_per_element_chain(p, k):
+    # the radix-(2p-1) chain and the half tables summed by digits give the
+    # tables one field.add per element gave
+    f = field_create(p, k)
+    assert (f._exp, f._log, f._neg_tab) == reference_tables(f)
+
+
+def _poly_over_fp(p, *factors):
+    out = [1]
+    for g in factors:
+        out = _poly_mul(field_create(p, 1), out, list(g))
+    return out
+
+
+def test_factor_sieve_and_ben_or_match_the_full_test():
+    # derandomized: random monic polynomials of degree 2-40, default moduli
+    # and products of two of them; the sieve over small fields followed by
+    # Ben-Or's test from past its bound, and Ben-Or's test alone, must both
+    # agree with the full test from d = 1
+    rng = random.Random(2024)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7, 13, 17, 131])
+        n = rng.randrange(2, 41)
+        kind = rng.choice(["random", "random", "irreducible", "product"])
+        if kind != "random" and p <= 13:
+            n = min(n, 24)
+            a = rng.randrange(1, n)
+            f = list(default_modulus(p, n)) if kind == "irreducible" else \
+                _poly_over_fp(p, default_modulus(p, a),
+                              default_modulus(p, n - a))
+        else:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+        want = reference_is_irreducible(f, p)
+        assert _is_irreducible(f, p) == want, (p, f)
+        sieve, top = fields._factor_sieve(p, n)
+        assert top <= n // 2 and (top == 0 or (p - 1) ** 2 < 256)
+        assert (sieve(f) and _is_irreducible(f, p, top + 1)) == want, (p, f)
+        seen[want] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 @pytest.mark.parametrize("p,k", [(2, 16), (3, 9)])
 def test_table_build_needs_sqrt_q_products(p, k, monkeypatch):
     # multiplying by the generator is F_p-linear, so the exp table needs
@@ -506,8 +550,8 @@ def test_additive_roots_match_poly_roots(p, k):
 @pytest.mark.parametrize("p,k", [(2, 3), (5, 3), (7, 2), (13, 2), (17, 2),
                                  (19, 1)])
 def test_additive_roots_match_brute_force(p, k):
-    # every z of the field tried, the left side by powers, not frob: covers
-    # the packed row reduction (p*p <= 256) and the list one (p = 17, 19)
+    # every z of the field tried, the left side by powers, not frob:
+    # p*p <= 256 and above it (p = 17, 19)
     field = field_create(p, k)
     rng = random.Random(7 * p + k)
     for kind in ("random", "inseparable", "kernel", "no-solution") * 5:
@@ -521,6 +565,61 @@ def test_additive_roots_match_brute_force(p, k):
                 want.append(z)
         want.sort(key=field.to_vec)
         assert additive_roots(field, terms, q) == want, (kind, terms, q)
+
+
+def _subspace_terms(field, basis):
+    """(s, c) terms of the linearized polynomial whose roots are the F_p-span
+    of ``basis``: L_(V + <w>)(z) = L_V(z)**p - L_V(w)**(p-1) * L_V(z)."""
+    p = field.p
+    terms = {0: 1}
+    for w in basis:
+        lw = _apply(field, terms.items(), w)
+        a = field.pow(lw, p - 1)
+        new = {}
+        for s, c in terms.items():
+            new[s + 1] = field.add(new.get(s + 1, 0), field.frob(c))
+            new[s] = field.sub(new.get(s, 0), field.mul(a, c))
+        terms = {s: c for s, c in new.items() if c}
+    return list(terms.items())
+
+
+def _apply(field, terms, z):
+    out = 0
+    for s, c in terms:
+        out = field.add(out, field.mul(c, field.frob(z, s)))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 8), (3, 6), (3, 11)])
+def test_kept_additive_map_matches_a_fresh_elimination(p, k):
+    # two maps alternated in one field, so the one kept map is replaced on
+    # every switch: a random one and one whose kernel is a chosen span of
+    # dimension 2 (3 over F_{2^8}; the whole field over F_4 and F_9), each
+    # with right sides in its image and random ones, every answer against
+    # a fresh elimination
+    field = field_create(p, k)
+    rng = random.Random(31 * p + k)
+    dim = 3 if field.q == 256 else 2
+    c = 1 + rng.randrange(field.q - 1)
+    basis = [field.mul(c, p ** i) for i in range(dim)]    # c * alpha**i
+    wide = _subspace_terms(field, basis)
+    narrow = _additive_equation(field, rng, "random")[0]
+    keys = set(vars(field))
+    counts = {}
+    for _ in range(5):
+        for terms in (wide, narrow, wide):
+            for _ in range(3):
+                image = _apply(field, terms, field.rand(rng))
+                for q in (image, field.rand(rng)):
+                    got = additive_roots(field, terms, q)
+                    assert got == reference_additive_roots(field, terms, q)
+                    assert all(_apply(field, terms, z) == q for z in got)
+                    counts.setdefault(terms is wide, set()).add(len(got))
+                assert additive_roots(field, terms, image)
+            # one map kept, in the slot set when the field was built
+            assert field._additive[0] == tuple(sorted(terms))
+            assert set(vars(field)) == keys
+    assert counts[True] == {0, p ** dim}, counts
 
 
 def test_digit_tables_keep_their_attributes_when_filled():

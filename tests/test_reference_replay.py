@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from germ.analytic import (LaurentDomain,  # noqa: E402
                            conjugacy_to_truncation)
 from germ.errors import FieldTooLarge  # noqa: E402
-from germ.fields import Field, field_create  # noqa: E402
+from germ.fields import Field, _FoldProduct, field_create  # noqa: E402
 from germ.invariants import profile  # noqa: E402
 from germ.normalizer import min_trunc, normal_form  # noqa: E402
 from germ.series import Germ1D, Series  # noqa: E402
@@ -87,16 +87,21 @@ def test_reference_kernels_take_effect():
     names = [(Field, "conv"), (Field, "add_shifted"), (Field, "_raw_mul"),
              (Field, "dot"), (Field, "compose"), (Field, "_add_digits"),
              (Field, "neg"), (Field, "left_side"), (Field, "right_side"),
+             (Field, "additive_roots"), (_FoldProduct, "pow"),
              (LaurentDomain, "conv"), (LaurentDomain, "dot")]
     packed = {key: getattr(*key) for key in names}
     field = field_create(3, 11)
     f = make_germ(field, 0, 3, 24, random.Random(5))
-    fast = _laurent_witness()
+    # x^3 + x^6 over F_3 climbs to F_{3^9} through additive equations
+    co = [0] * 13
+    co[3] = co[6] = 1
+    tower = Germ1D(field_create(3, 1), Series(field_create(3, 1), co, 12))
+    fast = _laurent_witness(), _outputs(tower, 12)
     with reference_kernels() as calls:
         assert all(getattr(*key) is not kernel
                    for key, kernel in packed.items())
         normal_form(f, trunc=24)
-        assert _laurent_witness() == fast
+        assert (_laurent_witness(), _outputs(tower, 12)) == fast
     assert all(calls[f"{cls.__name__}.{name}"] for cls, name in names)
     assert all(getattr(*key) is kernel for key, kernel in packed.items())
 
