@@ -14,7 +14,6 @@ embeddings along the tower are computed once and cached.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 
 from .errors import (
@@ -30,7 +29,6 @@ from .sides import BlockLeft, RelaxedRight
 
 FIELD_CAP = 2 ** 64
 _TABLE_LIMIT = 1 << 16      # build exp/log tables up to this field size
-_ADD_TABLE_LIMIT = 256      # full addition tables only for tiny fields
 
 # byte v -> the numeral of v, so int(digits.translate(_NUMERALS)[::-1], p)
 # reads a little-endian digit string back into a code when p <= 36
@@ -227,9 +225,10 @@ def _is_irreducible(f, p, start=1):
 def _factor_sieve(p, k):
     """(test, top): ``test(f)`` is true when the monic f of degree k over
     F_p (a code list, low degree first) has no factor of degree <= top, the
-    least of k // 2 and the largest d with p**d <= 128 (F_{3^5}, with its
-    addition table, costs more to build than its sieve saves); top is 0
-    unless a byte holds a digit product, (p - 1)**2 < 256.
+    least of k // 2 and the largest d with p**d <= 128 (for p = 3 a sieve
+    to degree 5, over F_{3^5}, dropped no candidate of the (3, 27) search
+    that degree 4 kept); top is 0 unless a byte holds a digit product,
+    (p - 1)**2 < 256.
 
     A factor of degree e <= top means a root in F_{p^d} for the multiple d
     of e in (top/2, top], so f is evaluated at every nonzero a of those
@@ -318,57 +317,36 @@ def default_modulus(p, k):
 # digit vectors packed in ints: tables per p, products mod a monic polynomial
 # ---------------------------------------------------------------------------
 
-def _digit_sum_table(p, c):
-    """T[a][b]: the code of the digit-wise sum mod p of the c-digit codes a
-    and b, built by digits: T_c[a][b] = T_1[a%p][b%p] + p*T_(c-1)[a//p][b//p]."""
-    tab = one = [[(a + b) % p for b in range(p)] for a in range(p)]
-    for _ in range(c - 1):
-        tab = [[p * y + x for y in tab[hi] for x in one[lo]]
-               for hi in range(len(tab)) for lo in range(p)]
-    return tab
+def _radix_table(digits, base, places):
+    """Entry x: the sum of digits[x_i] * base**places[i] over the digits
+    x_i of x in radix len(digits), low first; one comprehension a digit."""
+    out = [0]
+    for i in places:
+        w = base ** i
+        out = [v + c * w for c in digits for v in out]
+    return out
 
 
 class _DigitTables:
     """Tables of base-p digits, built once per p by :func:`_digit_tables`
     and shared by every field and ring of characteristic p.
 
-    For ``bytes.translate`` (p < 256): ``byte_mod``, ``byte_neg`` and
-    ``planes[i]`` take a byte v to v % p, -v % p and v // p**i % p, for
-    the p**(i+1) <= 256; ``plane_digits[x]`` are the digits of x below
-    p**len(planes).  When p <= 100, ``chunk_add`` and ``chunk_neg`` add and
-    negate chunks of ``chunk_len`` = c digits, ``chunk`` = p**c <= 100, so
-    the sum table holds at most 10**4 entries however large p**k is; both
-    are None until :meth:`chunk_tables` first builds them.  Above 100
-    ``chunk`` is None.  Every attribute is set in ``__init__``: one added
-    later would slow every attribute read of the shared instance.
+    For ``bytes.translate`` (p < 256): ``byte_mod`` and ``planes[i]`` take
+    a byte v to v % p and v // p**i % p, for the p**(i+1) <= 256;
+    ``plane_digits[x]`` are the digits of x below p**len(planes).
     """
 
     def __init__(self, p):
         self.p = p
-        self.byte_mod = self.byte_neg = None
+        self.byte_mod = None
         self.planes = []
         if p < 256:
             self.byte_mod = bytes(v % p for v in range(256))
-            self.byte_neg = bytes(-v % p for v in range(256))
             while p ** (len(self.planes) + 1) <= 256:
                 w = p ** len(self.planes)
                 self.planes.append(bytes(v // w % p for v in range(256)))
         self.plane_digits = [bytes(plane[x] for plane in self.planes)
                              for x in range(p ** len(self.planes))]
-        self.chunk = self.chunk_len = None
-        self.chunk_add = self.chunk_neg = None
-        if p <= 100:
-            self.chunk_len = 1
-            while p ** (self.chunk_len + 1) <= 100:
-                self.chunk_len += 1
-            self.chunk = p ** self.chunk_len
-
-    def chunk_tables(self):
-        """(chunk_add, chunk_neg), built on first use."""
-        if self.chunk_add is None:
-            self.chunk_add = _digit_sum_table(self.p, self.chunk_len)
-            self.chunk_neg = [row.index(0) for row in self.chunk_add]
-        return self.chunk_add, self.chunk_neg
 
 
 _digit_tables = functools.cache(_DigitTables)
@@ -393,7 +371,9 @@ class _FoldProduct:
     mod f at ``width`` bytes a slot, enough for n*(p-1)**2) by
     :meth:`along`, the step :meth:`linear` applies a matrix with, and
     :meth:`codes` reads codes back.  One product is the case of one code a
-    side (:meth:`digits`, :meth:`code`).
+    side (:meth:`digits`, :meth:`code`).  A sum is the same steps with no
+    product and no fold: the digits of each code at one ``sum_width``-byte
+    slot apiece, added as ints and reduced (:meth:`add`, :meth:`neg`).
     """
 
     def __init__(self, p, f):
@@ -407,6 +387,9 @@ class _FoldProduct:
         self.base = p ** span
         self.span_weights = sum(p ** (span - 1 - i) << 8 * i
                                 for i in range(span))
+        # a slot wide enough for two digits, and p in every one of n slots
+        self.sum_width = (2 * p - 1).bit_length() + 7 >> 3
+        self.p_slots = self.spread([p] * n, self.sum_width)
         row = x_n = [(-c) % p for c in f[:n]]
         packed = self.spread(row, self.width)
         self.fold_rows = []
@@ -549,6 +532,19 @@ class _FoldProduct:
         return self.code(self.product(self.pack(a), self.pack(b), 1,
                                       self.stride, self.width))
 
+    def add(self, a, b):
+        width = self.sum_width
+        return self.code(self.reduce(self.spread(self.digits(a), width) +
+                                     self.spread(self.digits(b), width),
+                                     self.n, width))
+
+    def neg(self, a):
+        """p minus each digit, which the reduction takes to 0 for digit 0."""
+        width = self.sum_width
+        return self.code(self.reduce(self.p_slots -
+                                     self.spread(self.digits(a), width),
+                                     self.n, width))
+
     def pow(self, a, e):
         """a**e by squaring, packed from the first product to the last."""
         stride, width = self.stride, self.width
@@ -593,8 +589,9 @@ class Field:
 
     Fields up to 2**16 elements multiply through exp/log tables.  Above
     that, products, powers and inverses go through the fold-row product
-    (:class:`_FoldProduct`), the Frobenius through its matrix, and, for odd
-    p, sums and negations through tables on chunks of digits.
+    (:class:`_FoldProduct`) and the Frobenius through its matrix.  Each
+    field adds by one rule (:meth:`add`): xor, mod p, the exp chain's
+    radix-(2p-1) respread up to 2**16 elements, or one packed sum above.
     """
 
     def __init__(self, p, k, modulus):
@@ -606,14 +603,10 @@ class Field:
         self.one = 1
         self._emb = {}
         self._frob = {}     # m -> codes and packed slots of the basis images
-        self._digits = _digit_tables(p)
         self._ring = _FoldProduct(p, self.modulus)
         self._build_tables()
 
     # -- construction helpers ----------------------------------------------
-
-    def _encode(self, vec):
-        return self._ring.code([c % self.p for c in vec])
 
     def _decode(self, code):
         return list(self._ring.digits(code))
@@ -634,26 +627,22 @@ class Field:
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         self._exp = self._log = self._neg_tab = None
-        self._add_tab = None
         # byte v -> v % p: reduces every one-byte slot of a packed sum or
         # product in one bytes.translate; a byte holds any sum of two digits
         self._mod_bytes = None
         if k == 1 and 2 * (p - 1) < 256:
-            self._mod_bytes = self._digits.byte_mod
-        # codes add packed one to a byte: xor over F_{2^k}; for odd p a code
-        # is respread to its digits in radix 2p-1 (``_add_in``, none over
-        # F_p), where a digit sum carries into nothing, and the byte sums
-        # read back mod p through ``_add_out``
+            self._mod_bytes = _digit_tables(p).byte_mod
+        # odd p, k > 1, up to 2**16 elements: codes respread to radix
+        # r = 2p-1 (``_spread``) add with no carry, and a sum s reads back
+        # mod p as lo[s % R] + hi[s // R], its low h and high k-h digits
+        # (``_unspread`` = (R, lo, hi)); the exp chain adds by them too
+        self._spread = self._unspread = None
+        # codes add packed one to a byte: xor over F_{2^k}; for odd p, when
+        # (2p-1)**k <= 256, every respread code (``_add_in``, none over
+        # F_p) is a byte and the byte sums read back through ``_add_out``
+        self._byte_add = p == 2 and q <= 256 or \
+            p != 2 and (2 * p - 1) ** k <= 256
         self._add_in, self._add_out = None, self._mod_bytes
-        if k > 1 and p != 2 and (2 * p - 1) ** k <= 256:
-            r = 2 * p - 1
-            self._add_in = bytes(
-                sum(c * r ** i for i, c in enumerate(self._decode(v)))
-                for v in range(q)).ljust(256, b"\0")
-            self._add_out = bytes(self._encode([s // r ** i % r
-                                                for i in range(k)])
-                                  for s in range(256))
-        self._byte_add = p == 2 and q <= 256 or self._add_out is not None
         # translate tables of bytes vectors when q <= 256: the logs (q - 1
         # for the log of 0), the Frobenius, and c -> the row of y -> c*y.
         # Every attribute is set here, in one order, on every field: one
@@ -667,8 +656,20 @@ class Field:
         self._byte_terms = 255 // (p - 1) ** 2 if k == 1 else 0
         if q > _TABLE_LIMIT:
             return
-        if p != 2 and q <= _ADD_TABLE_LIMIT:  # p = 2 adds by xor
-            self._add_tab = _digit_sum_table(p, k)
+        h = (k + 1) // 2
+        if p != 2 and k > 1:
+            # each table over the low h digits and the high k-h apart; a
+            # whole table is their sums, the low index running fastest
+            r, halves = 2 * p - 1, (range(h), range(h, k))
+            lo, hi = (_radix_table(range(p), r, part) for part in halves)
+            self._spread = [x + y for y in hi for x in lo]
+            lo, hi = (_radix_table([d % p for d in range(r)], p, part)
+                      for part in halves)
+            self._unspread = (r ** h, lo, hi)
+            if self._byte_add:
+                self._add_in = bytes(self._spread).ljust(256, b"\0")
+                self._add_out = bytes(x + y for y in hi
+                                      for x in lo).ljust(256, b"\0")
         factors = _prime_factors(q - 1) if q > 2 else []
         g = 1  # q == 2
         # a constant of F_p has order dividing p - 1 < q - 1 when k > 1
@@ -679,9 +680,8 @@ class Field:
         # x -> g*x is F_p-linear: split x = lo + P*hi and add the images of
         # the halves, each half table summed digit by digit from the images
         # of d*p**i, (p-1)*k products in all
-        h = (k + 1) // 2
         P = p ** h
-        add = operator.xor if p == 2 else self.add
+        add = self.add
         lo_tab, hi_tab = [0], [0]
         for i in range(k):
             tab = lo_tab if i < h else hi_tab
@@ -692,18 +692,14 @@ class Field:
         if p == 2:
             for i in range(1, q - 1):
                 x = exp[i] = lo_tab[x & P - 1] ^ hi_tab[x >> h]
+        elif k == 1:
+            for i in range(1, q - 1):
+                x = exp[i] = lo_tab[x]
         else:
-            # digits respread to radix r = 2p-1 add without a carry; the
-            # sum's low h and high k-h digits read back mod p by two tables
-            r = 2 * p - 1
-            lo_tab, hi_tab = ([sum(c * r ** i for i, c in
-                                   enumerate(self._decode(v))) for v in tab]
-                              for tab in (lo_tab, hi_tab))
-            R = r ** h
-            lo_out, hi_out = [0], [0]
-            for i in range(k):
-                out, w = lo_out if i < h else hi_out, p ** i
-                out[:] = [v + d % p * w for d in range(r) for v in out]
+            # the two images respread, added and read back, as in ``add``
+            spread, (R, lo_out, hi_out) = self._spread, self._unspread
+            lo_tab = [spread[v] for v in lo_tab]
+            hi_tab = [spread[v] for v in hi_tab]
             for i in range(1, q - 1):
                 s = lo_tab[x % P] + hi_tab[x // P]
                 x = exp[i] = lo_out[s % R] + hi_out[s // R]
@@ -712,8 +708,11 @@ class Field:
             log[c] = i
         self._exp, self._log = exp, log
         if p != 2:  # -1 = g**((q-1)/2); negation is the identity when p = 2
+            # -g**i = g**(i + (q-1)/2): the exp table turned by half a turn
             half = (q - 1) // 2
-            self._neg_tab = [0] + [exp[log[a] - half] for a in range(1, q)]
+            self._neg_tab = neg = [0] * q
+            for c, d in zip(exp, exp[half:] + exp[:half]):
+                neg[c] = d
         if q <= 256:
             self._log_row = bytes([q - 1] + log[1:]).ljust(256, b"\0")
             self._frob_row = bytes([0] + [exp[log[a] * p % (q - 1)]
@@ -723,49 +722,34 @@ class Field:
     # -- kernel ops on codes -------------------------------------------------
 
     def add(self, a, b):
-        """a + b: xor when p = 2, the full table up to 256 elements, and
-        above that by digits (:meth:`_add_digits`)."""
+        """a + b: by ``_spread`` over the odd-p table fields with k > 1,
+        (a + b) % p over F_p, xor over F_{2^k}, and one packed sum
+        (:meth:`_FoldProduct.add`) over the other fields."""
+        spread = self._spread
+        if spread is not None:
+            s = spread[a] + spread[b]
+            R, lo, hi = self._unspread
+            return lo[s % R] + hi[s // R]
+        if self.k == 1:
+            return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._add_tab is not None:
-            return self._add_tab[a][b]
-        return self._add_digits(a, b)
-
-    def _add_digits(self, a, b):
-        """a + b over odd p: chunk by chunk of digits through the sum
-        table, and digit by digit when p > 100."""
-        tabs = self._digits
-        if tabs.chunk is None:
-            return self._encode([x + y for x, y in
-                                 zip(self._decode(a), self._decode(b))])
-        size, add = tabs.chunk, tabs.chunk_add or tabs.chunk_tables()[0]
-        out, w = 0, 1
-        while a or b:
-            a, x = divmod(a, size)
-            b, y = divmod(b, size)
-            out += add[x][y] * w
-            w *= size
-        return out
+        return self._ring.add(a, b)
 
     def neg(self, a):
-        """-a: the identity when p = 2, the table up to 2**16 elements, and
-        above that chunk by chunk of digits (digit by digit when p > 100)."""
+        """-a: the identity when p = 2, the table up to 2**16 elements,
+        -a % p over a larger F_p, and one packed negation above that."""
         if self.p == 2:
             return a
         if self._neg_tab is not None:
             return self._neg_tab[a]
-        tabs = self._digits
-        if tabs.chunk is None:
-            return self._encode([-c for c in self._decode(a)])
-        size, negate = tabs.chunk, tabs.chunk_neg or tabs.chunk_tables()[1]
-        out, w = 0, 1
-        while a:
-            a, x = divmod(a, size)
-            out += negate[x] * w
-            w *= size
-        return out
+        if self.k == 1:
+            return -a % self.p
+        return self._ring.neg(a)
 
     def sub(self, a, b):
+        if self.k == 1:     # one call, not three, for the F_p subtractions
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def add_shifted(self, lo, hi, off, n):
@@ -778,10 +762,9 @@ class Field:
         each code is respread to radix 2p-1 by a translate, they are added,
         which carries nothing from one byte into the next, and every byte
         is read back mod p by one translate.  Otherwise the codes add one
-        by one: xor when p = 2, through the addition table where there is
-        one, and by ``add`` over the other odd-p fields; on that path a list
-        lo of exactly n codes is taken over and becomes the result, so the
-        engine's one-term writes cost one ``add``, not a copy.
+        by one: xor when p = 2, and by ``add`` over odd p; on that path a
+        list lo of exactly n codes is taken over and becomes the result, so
+        the engine's one-term writes cost one ``add``, not a copy.
         """
         top = len(hi) if len(hi) < n - off else n - off
         as_bytes = type(lo) is bytes
@@ -808,12 +791,10 @@ class Field:
             out += [0] * (n - len(out))
         if top > 0:
             pairs = zip(out[off: off + top], hi[:top])
-            tab, add = self._add_tab, self.add
             if self.p == 2:
                 out[off: off + top] = [x ^ y for x, y in pairs]
-            elif tab is not None:
-                out[off: off + top] = [tab[x][y] for x, y in pairs]
             else:
+                add = self.add
                 out[off: off + top] = [add(x, y) for x, y in pairs]
         return bytes(out) if as_bytes else out
 
@@ -846,8 +827,8 @@ class Field:
         scaled through the exp/log tables, one translate on bytes (first,
         since it also serves the engine's one-term updates of whole
         vectors); over F_p with one-byte slots, the layer's stride-1,
-        width-1 case inline, for the many short Laurent products; and, when
-        the field adds in one step (p = 2 or an addition table), a shorter
+        width-1 case inline, for the many short Laurent products; and, over
+        F_{2^k} and the odd-p fields of at most 256 elements, a shorter
         operand of fewer than k terms summed term by term.
         """
         as_bytes = type(a) is bytes
@@ -882,7 +863,7 @@ class Field:
             return out if as_bytes else list(out)
         p, k = self.p, self.k
         if min(la, lb) < k and self._exp is not None and \
-                (p == 2 or self._add_tab is not None):
+                (p == 2 or self.q <= 256):
             exp, log, q1, add = self._exp, self._log, self.q - 1, self.add
             out = [0] * (n + 1)
             logs_b = [(j, log[y]) for j, y in enumerate(b[:lb]) if y]
@@ -1073,7 +1054,8 @@ class Field:
     def from_vec(self, vec):
         if len(vec) > self.k:
             raise ValidationError("vector longer than the extension degree")
-        return self._encode(list(vec) + [0] * (self.k - len(vec)))
+        return self._ring.code([c % self.p for c in vec] +
+                               [0] * (self.k - len(vec)))
 
     def rand(self, rng):
         return rng.randrange(self.q)
@@ -1395,12 +1377,6 @@ def _reduced_echelon(rows, k, p):
     return pivots
 
 
-def unity_relation(zeta, n):
-    """True iff zeta**n == zeta."""
-    f = zeta.field
-    return f.pow(zeta.code, n) == zeta.code
-
-
 # ---------------------------------------------------------------------------
 # the element wrapper
 # ---------------------------------------------------------------------------
@@ -1482,12 +1458,6 @@ class FieldElement:
 
     def inverse(self):
         return FieldElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self, m=1):
-        return FieldElement(self.field, self.field.frob(self.code, m))
-
-    def frobenius_root(self, m=1):
-        return FieldElement(self.field, self.field.frob_root(self.code, m))
 
     def is_zero(self):
         return self.code == 0

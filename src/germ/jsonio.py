@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .analytic import LaurentDomain, LaurentScalar
+from .analytic import LaurentDomain
 from .errors import GermError, ParseError
 from .fields import Field, field_create
 from .multidim import MultiGerm, MultiSeries
@@ -96,13 +96,6 @@ def germ_from_dict(d):
     return Germ1D(field, series_from_dict(field, d.get("series", {})))
 
 
-def scalar_to_dict(dom, x: LaurentScalar):
-    if dom.is_zero(x):
-        return {"val": None, "unit": [], "prec": None}
-    return {"val": x.val, "unit": [list(dom.base.to_vec(c)) for c in x.unit],
-            "prec": x.prec}
-
-
 def scalar_from_dict(dom, d):
     _check(isinstance(d, dict), "Laurent coefficient must be a JSON object")
     val, unit, prec = d.get("val"), d.get("unit"), d.get("prec")
@@ -113,15 +106,6 @@ def scalar_from_dict(dom, d):
            "Laurent coefficient needs an integer val, a unit list and an "
            "integer prec >= 0 or null")
     return dom.make(val, [_element(dom.base, v) for v in unit], prec)
-
-
-def laurent_germ_to_dict(f: Germ1D):
-    dom = f.dom
-    return {"schema": SCHEMA, "p": dom.p, "prec": dom.prec,
-            "field": field_to_dict(dom.base),
-            "series": {"trunc": f.series.trunc,
-                       "coeffs": [scalar_to_dict(dom, c)
-                                  for c in f.series.coeffs]}}
 
 
 def laurent_germ_from_dict(d):

@@ -60,14 +60,6 @@ def gauss_jordan(a):
     return rank, det, ([row[n:] for row in x] if rank == n else None)
 
 
-def mat_inv(a):
-    """Inverse over exact rationals; raises SingularMatrix."""
-    inv = gauss_jordan(a)[2]
-    if inv is None:
-        raise SingularMatrix("matrix is not invertible")
-    return inv
-
-
 def int_det(a):
     """Determinant of an integer matrix, as an int."""
     return int(gauss_jordan(a)[1])
@@ -292,10 +284,6 @@ class MultiGerm:
     @property
     def nvars(self):
         return len(self.cvec)
-
-    def identity_vector(self):
-        return [MultiSeries.variable(self.dom, self.nvars, self.trunc, i)
-                for i in range(self.nvars)]
 
     def apply(self, gs, trunc=None):
         """f o g for a vector of series g (ord >= 1 componentwise)."""

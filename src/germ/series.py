@@ -257,15 +257,6 @@ class Series:
                 out[n * p] = frob(c, 1)
         return Series(dom, out, t)
 
-    def subs_power(self, r):
-        """f(x**r)."""
-        dom = self.dom
-        t = self.trunc * r + r - 1
-        out = [dom.zero] * (t + 1)
-        for n, c in enumerate(self.coeffs):
-            out[n * r] = c
-        return Series(dom, out, t)
-
     def compose(self, inner, trunc=None):
         """self(inner); needs ord(inner) >= 1."""
         _same_dom(self, inner)

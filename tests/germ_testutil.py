@@ -88,9 +88,18 @@ def schoolbook_fold_pow(ring, a, e):
 def schoolbook_field_add(field, a, b):
     """Reference for ``field.add``: the digit-wise sum mod p, digit by
     digit."""
-    p = field.p
+    return _digit_sum(field.p, field.k, a, b)
+
+
+def schoolbook_fold_add(ring, a, b):
+    """Reference for ``_FoldProduct.add``, the sum of the table-free
+    fields: the same digit by digit."""
+    return _digit_sum(ring.p, ring.n, a, b)
+
+
+def _digit_sum(p, n, a, b):
     return sum((x + y) % p * p ** i for i, (x, y) in enumerate(
-        zip(schoolbook_digits(field, a), schoolbook_digits(field, b))))
+        zip(_digits(p, n, a), _digits(p, n, b))))
 
 
 def schoolbook_field_neg(field, a):
@@ -298,7 +307,7 @@ _REFERENCE_KERNELS = {
     (Field, "compose"): power_loop_compose,
     (Field, "_raw_mul"): _reference_raw_mul,
     (Field, "dot"): schoolbook_dot,
-    (Field, "_add_digits"): schoolbook_field_add,
+    (_FoldProduct, "add"): schoolbook_fold_add,
     (Field, "neg"): schoolbook_field_neg,
     (Field, "left_side"): ordered_left_side,
     (Field, "right_side"): ordered_right_side,
@@ -313,9 +322,9 @@ _REFERENCE_KERNELS = {
 def reference_kernels():
     """Run every ``Field`` and ``LaurentDomain`` on the schoolbook
     references: ``Field.conv``, ``add_shifted``, ``dot``, the table-free
-    product ``_raw_mul``, the chunked odd-p sum ``_add_digits`` and
-    ``neg`` digit by digit, ``Field.compose`` as the power loop with no
-    Frobenius split, ``Field``'s engine kernels ``left_side`` and
+    product ``_raw_mul``, the table-free sum ``_FoldProduct.add`` and
+    ``Field.neg`` digit by digit, ``Field.compose`` as the power loop with
+    no Frobenius split, ``Field``'s engine kernels ``left_side`` and
     ``right_side`` as the ordered ones of ``LaurentDomain``,
     ``Field.additive_roots`` as a fresh elimination for every right side,
     with no kept map, ``_FoldProduct.pow`` (table builds, inverses and
@@ -323,11 +332,17 @@ def reference_kernels():
     over schoolbook products, and ``LaurentDomain.conv`` and ``dot`` as one
     ``add`` of one ``mul`` per term.
 
+    ``Field.add`` keeps its other rules (xor, (a + b) % p and the
+    respread tables): ``schoolbook_conv`` calls it once per term, so a
+    digit-by-digit ``add`` would make the pool replay several times
+    slower, and the default tests check those rules against
+    :func:`schoolbook_field_add`.
+
     Yields a Counter of the calls each reference took, keyed
     ``"Field.conv"`` and so on, so a caller can tell that the swap took
     effect.  The packed kernels are restored on exit.  Tables built inside
     are the same as outside: they are filled by products, which the
-    references compute exactly.
+    references compute exactly, and sums by the respread tables.
     """
     calls = collections.Counter()
     saved = {key: getattr(*key) for key in _REFERENCE_KERNELS}
@@ -345,6 +360,28 @@ def reference_kernels():
     finally:
         for (cls, name), kernel in saved.items():
             setattr(cls, name, kernel)
+
+
+def subs_power(s, r):
+    """s(x**r), to truncation order r*(trunc + 1) - 1."""
+    t = s.trunc * r + r - 1
+    out = [s.dom.zero] * (t + 1)
+    for n, c in enumerate(s.coeffs):
+        out[n * r] = c
+    return Series(s.dom, out, t)
+
+
+def laurent_germ_to_dict(f):
+    """The JSON form of a germ over F_q((t)), which ``germ growth`` reads
+    (``jsonio.laurent_germ_from_dict``)."""
+    dom = f.dom
+    coeffs = [{"val": None, "unit": [], "prec": None} if dom.is_zero(c) else
+              {"val": c.val, "unit": [list(dom.base.to_vec(d))
+                                      for d in c.unit], "prec": c.prec}
+              for c in f.series.coeffs]
+    return {"schema": "germ/1", "p": dom.p, "prec": dom.prec,
+            "field": dom.base.to_dict(),
+            "series": {"trunc": f.series.trunc, "coeffs": coeffs}}
 
 
 def laurent_lift_series(dom, s):

@@ -13,6 +13,7 @@ from germ.cli import main
 from germ.fields import field_create
 from germ.multidim import MultiGerm, MultiSeries
 from germ.series import Germ1D, Series
+from germ_testutil import laurent_germ_to_dict
 
 F3 = field_create(3, 1)
 
@@ -188,7 +189,7 @@ def _growth_germ():
     co[3] = dom.one
     co[4] = dom.t_power(1)
     co[6] = dom.one
-    return jsonio.laurent_germ_to_dict(Germ1D(dom, Series(dom, co, 24)))
+    return laurent_germ_to_dict(Germ1D(dom, Series(dom, co, 24)))
 
 
 def test_growth_command(tmp_path, capsys):
@@ -210,7 +211,7 @@ def test_laurent_roundtrip(tmp_path):
     co[3] = dom.one
     co[5] = dom.make(2, [1, 0, 2])
     f = Germ1D(dom, Series(dom, co, 9))
-    d = jsonio.laurent_germ_to_dict(f)
+    d = laurent_germ_to_dict(f)
     f2 = jsonio.laurent_germ_from_dict(json.loads(json.dumps(d)))
     for a, b in zip(f.series.coeffs, f2.series.coeffs):
         assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)

@@ -85,7 +85,7 @@ def _laurent_witness():
 
 def test_reference_kernels_take_effect():
     names = [(Field, "conv"), (Field, "add_shifted"), (Field, "_raw_mul"),
-             (Field, "dot"), (Field, "compose"), (Field, "_add_digits"),
+             (Field, "dot"), (Field, "compose"), (_FoldProduct, "add"),
              (Field, "neg"), (Field, "left_side"), (Field, "right_side"),
              (Field, "additive_roots"), (_FoldProduct, "pow"),
              (LaurentDomain, "conv"), (LaurentDomain, "dot")]
