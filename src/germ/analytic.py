@@ -36,9 +36,8 @@ _INF = math.inf
 class LaurentScalar:
     """val + unit-digit vector + trusted digit count (None = exact).
 
-    The unit is ``bytes`` over fields of at most 256 elements, so the packed
-    Field kernels read and return it as it is, and a tuple of codes over
-    larger fields."""
+    The unit is a vector of the base field's type (``Field.vector``), so
+    the Field kernels read and return it as it is."""
 
     __slots__ = ("val", "unit", "prec")
 
@@ -57,7 +56,7 @@ class LaurentScalar:
 
 
 def _lstrip(digits):
-    """A bytes or tuple unit without its leading zero digits."""
+    """A unit without its leading zero digits."""
     if type(digits) is bytes:
         return digits.lstrip(b"\0")
     i = 0
@@ -67,7 +66,7 @@ def _lstrip(digits):
 
 
 def _rstrip(digits):
-    """A bytes or tuple unit without its trailing zero digits."""
+    """A unit without its trailing zero digits."""
     if type(digits) is bytes:
         return digits.rstrip(b"\0")
     n = len(digits)
@@ -94,8 +93,8 @@ class LaurentDomain:
             dom.base = base_field
             dom.p = base_field.p
             dom.prec = prec
-            # every unit has this type: codes fit a byte when q <= 256
-            dom._unit = unit = bytes if base_field.q <= 256 else tuple
+            # every unit is a vector of the base field's type
+            dom._unit = unit = type(base_field.vector(()))
             dom._empty = unit()
             dom.zero = LaurentScalar(_INF, dom._empty, None)
             dom.one = LaurentScalar(0, unit((base_field.one,)), None)
@@ -228,10 +227,10 @@ class LaurentDomain:
         return self._mk(x.val + y.val, self.base.conv(xu, yu, n - 1), prec)
 
     def conv(self, a, b, n):
-        """The first n+1 coefficients of the product of two coefficient
-        lists: each output is the :meth:`dot` of its terms in increasing
-        index of a, exact zeros skipped, which fixes how precision is
-        tracked.  Each operand is read once."""
+        """The first n+1 coefficients of the product of two scalar
+        sequences, as a new list: each output is the :meth:`dot` of its
+        terms in increasing index of a, exact zeros skipped, which fixes
+        how precision is tracked.  Each operand is read once."""
         xs, ys = self._read(a[: n + 1]), self._read(b[: n + 1])
         ys = [(j, y) for j, y in enumerate(ys) if y]
         # packed: each output's terms, summed in one accumulate pass; else
@@ -345,26 +344,23 @@ class LaurentDomain:
         return out
 
     def add_shifted(self, lo, hi, off, n):
-        """The first n coefficients of lo + x**off * hi, for scalar lists:
-        one ``add`` per overlapping coefficient, so an exact zero in hi
-        leaves lo's coefficient as it is.  A lo of exactly n scalars is
-        taken over and becomes the result, so the engine's one-term
-        updates cost one ``add``, not a copy."""
-        out = lo if len(lo) == n else lo[:n] + [self.zero] * (n - len(lo))
+        """The first n coefficients of lo + x**off * hi, for scalar
+        sequences, as a new list: one ``add`` per overlapping coefficient,
+        so an exact zero in hi leaves lo's coefficient as it is."""
+        out = list(lo[:n])
+        out += [self.zero] * (n - len(out))
         top = min(len(hi), n - off)
         if top > 0:
             out[off: off + top] = map(self.add, out[off: off + top],
                                       hi[:top])
         return out
 
-    def vector(self, scalars):
-        """A coefficient vector as the kernels here take and give it: a
-        list."""
-        return list(scalars)
+    # the type of the vectors the kernels here give back
+    vector = list
 
     def compose(self, outer, inner, og, t):
-        """The first t+1 coefficients of outer(inner), for scalar lists and
-        an inner series of order og >= 1: the power loop alone
+        """The first t+1 coefficients of outer(inner), for scalar sequences
+        and an inner series of order og >= 1: the power loop alone
         (:func:`~germ.fields.compose_by_powers`).  The Frobenius split of
         ``Field.compose`` would give other precisions: ``frob`` raises an
         inexact scalar's precision p-fold, so the split's (val, unit,

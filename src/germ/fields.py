@@ -80,8 +80,8 @@ def _support_len(codes, cap):
 
 
 def compose_by_powers(dom, outer, inner, og, t):
-    """The first t+1 coefficients of outer(inner), for coefficient vectors
-    of ``dom`` and an inner series of order og >= 1, as a vector.
+    """The first t+1 coefficients of outer(inner), for coefficient
+    sequences of ``dom`` and an inner series of order og >= 1, as a vector.
 
     The power loop: inner**l has order exactly l*og (a product of leading
     coefficients is never an exact zero), so each power is one ``conv`` of
@@ -93,22 +93,21 @@ def compose_by_powers(dom, outer, inner, og, t):
     deg = min(len(outer) - 1, t // og)
     while deg > 0 and zero(outer[deg]):
         deg -= 1
-    out = dom.vector([outer[0] if len(outer) else dom.zero] + [dom.zero] * t)
+    out = dom.add_shifted(outer[:1], (), 0, t + 1)     # outer[0], padded
     tail, power = inner[og: t + 1], None
     for l in range(1, deg + 1):
         lo = l * og
         power = tail if power is None else dom.conv(power, tail, t - lo)
         if not zero(outer[l]):
-            out = dom.add_shifted(
-                out, dom.conv(dom.vector([outer[l]]), power, t - lo), lo,
-                t + 1)
+            out = dom.add_shifted(out, dom.conv([outer[l]], power, t - lo),
+                                  lo, t + 1)
     return out
 
 
 def _poly_mul(dom, f, g):
     if not f or not g:
         return []
-    return _strip(dom.conv(f, g, len(f) + len(g) - 2))
+    return _strip(list(dom.conv(f, g, len(f) + len(g) - 2)))
 
 
 def _poly_sub(dom, f, g):
@@ -575,8 +574,12 @@ _REGISTRY = {}
 class Field:
     """Descriptor plus arithmetic kernel for F_{p^k}.
 
-    All kernel methods act on integer codes.  Do not instantiate directly;
-    use :func:`field_create` so descriptors stay canonical.  Descriptors are
+    All kernel methods act on integer codes.  Vectors of codes have one
+    type per field, :attr:`vector` (bytes when q <= 256, else list): the
+    vector kernels ``conv``, ``add_shifted`` and ``compose`` take any
+    sequence of codes and give back a new vector of that type, writing
+    into no argument.  Do not instantiate directly; use
+    :func:`field_create` so descriptors stay canonical.  Descriptors are
     immutable after construction and safe to share; the lazily filled
     embedding and Frobenius caches only ever grow and their entries are
     pure, so concurrent readers cannot observe a wrong value.  One more
@@ -601,6 +604,9 @@ class Field:
         self.modulus = tuple(modulus)
         self.zero = 0
         self.one = 1
+        # the one type of the vectors the kernels give back: codes fit a
+        # byte when q <= 256
+        self.vector = bytes if self.q <= 256 else list
         self._emb = {}
         self._frob = {}     # m -> codes and packed slots of the basis images
         self._ring = _FoldProduct(p, self.modulus)
@@ -639,23 +645,30 @@ class Field:
         self._spread = self._unspread = None
         # codes add packed one to a byte: xor over F_{2^k}; for odd p, when
         # (2p-1)**k <= 256, every respread code (``_add_in``, none over
-        # F_p) is a byte and the byte sums read back through ``_add_out``
+        # F_p) is a byte and the byte sums read back through ``_add_out``,
+        # as one scalar sum does in ``add``
         self._byte_add = p == 2 and q <= 256 or \
             p != 2 and (2 * p - 1) ** k <= 256
         self._add_in, self._add_out = None, self._mod_bytes
         # translate tables of bytes vectors when q <= 256: the logs (q - 1
-        # for the log of 0), the Frobenius, and c -> the row of y -> c*y.
+        # for the log of 0), the Frobenius, and c -> the row of y -> c*y
+        # (all zeros for c = 0, so conv scales by a zero digit unchecked).
         # Every attribute is set here, in one order, on every field: one
         # added later would slow every attribute read of that field
         self._log_row = self._frob_row = None
-        self._rows = {}
+        self._rows = {0: bytes(256)}
         # the last additive map solved over this field, with its reduced
         # form: (terms, cols, free, kernel), see :func:`additive_roots`
         self._additive = None
         # the most terms a one-byte slot of an F_p product can sum
         self._byte_terms = 255 // (p - 1) ** 2 if k == 1 else 0
+        # conv scales copies of the longer operand when the shorter has
+        # fewer terms than this: one over a table field, and fewer than k
+        # over F_{2^k} and the odd-p fields of at most 256 elements
+        self._scale_terms = 0
         if q > _TABLE_LIMIT:
             return
+        self._scale_terms = max(k, 2) if p == 2 or q <= 256 else 2
         h = (k + 1) // 2
         if p != 2 and k > 1:
             # each table over the low h digits and the high k-h apart; a
@@ -722,18 +735,22 @@ class Field:
     # -- kernel ops on codes -------------------------------------------------
 
     def add(self, a, b):
-        """a + b: by ``_spread`` over the odd-p table fields with k > 1,
-        (a + b) % p over F_p, xor over F_{2^k}, and one packed sum
+        """a + b: (a + b) % p over F_p, xor over F_{2^k}, by ``_spread``
+        over the odd-p table fields with k > 1, read back in one lookup of
+        ``_add_out`` when (2p-1)**k <= 256, and one packed sum
         (:meth:`_FoldProduct.add`) over the other fields."""
-        spread = self._spread
-        if spread is not None:
-            s = spread[a] + spread[b]
-            R, lo, hi = self._unspread
-            return lo[s % R] + hi[s // R]
         if self.k == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        spread = self._spread
+        if spread is not None:
+            s = spread[a] + spread[b]
+            out = self._add_out
+            if out is not None:
+                return out[s]
+            R, lo, hi = self._unspread
+            return lo[s % R] + hi[s // R]
         return self._ring.add(a, b)
 
     def neg(self, a):
@@ -754,41 +771,33 @@ class Field:
 
     def add_shifted(self, lo, hi, off, n):
         """The first n coefficients of lo + x**off * hi, for code
-        sequences lo and hi and off >= 0.
+        sequences lo and hi and off >= 0, as a new :attr:`vector`.
 
-        The result is bytes when lo is bytes, else a list.  Codes below 256
-        pack one to a byte: over F_{2^k} the two packed ints are xored; over
-        F_p with 2(p-1) < 256, and over F_{p^k} with (2p-1)**k <= 256 once
-        each code is respread to radix 2p-1 by a translate, they are added,
-        which carries nothing from one byte into the next, and every byte
-        is read back mod p by one translate.  Otherwise the codes add one
-        by one: xor when p = 2, and by ``add`` over odd p; on that path a
-        list lo of exactly n codes is taken over and becomes the result, so
-        the engine's one-term writes cost one ``add``, not a copy.
+        Codes below 256 pack one to a byte: over F_{2^k} the two packed ints
+        are xored; over F_p with 2(p-1) < 256, and over F_{p^k} with
+        (2p-1)**k <= 256 once each code is respread to radix 2p-1 by a
+        translate, they are added, which carries nothing from one byte
+        into the next, and every byte is read back mod p by one translate.
+        Otherwise the codes add one by one: xor when p = 2, and by ``add``
+        over odd p.
         """
         top = len(hi) if len(hi) < n - off else n - off
-        as_bytes = type(lo) is bytes
         if self._byte_add:
             a, b = lo[:n], hi[:top]
             if self._add_in is not None and top > 0:
                 a = bytes(a).translate(self._add_in)
                 b = bytes(b).translate(self._add_in)
             if top <= 0:
-                out = int.from_bytes(a, "little").to_bytes(n, "little")
-            elif self.p == 2:
-                out = (int.from_bytes(a, "little") ^
-                       int.from_bytes(b, "little") << 8 * off
-                       ).to_bytes(n, "little")
-            else:
-                out = (int.from_bytes(a, "little") +
-                       (int.from_bytes(b, "little") << 8 * off)
-                       ).to_bytes(n, "little").translate(self._add_out)
-            return out if as_bytes else list(out)
-        if type(lo) is list and len(lo) == n:
-            out = lo
-        else:
-            out = list(lo[:n])
-            out += [0] * (n - len(out))
+                return int.from_bytes(a, "little").to_bytes(n, "little")
+            if self.p == 2:
+                return (int.from_bytes(a, "little") ^
+                        int.from_bytes(b, "little") << 8 * off
+                        ).to_bytes(n, "little")
+            return (int.from_bytes(a, "little") +
+                    (int.from_bytes(b, "little") << 8 * off)
+                    ).to_bytes(n, "little").translate(self._add_out)
+        out = list(lo[:n])
+        out += [0] * (n - len(out))
         if top > 0:
             pairs = zip(out[off: off + top], hi[:top])
             if self.p == 2:
@@ -796,7 +805,7 @@ class Field:
             else:
                 add = self.add
                 out[off: off + top] = [add(x, y) for x, y in pairs]
-        return bytes(out) if as_bytes else out
+        return out if self.vector is list else bytes(out)
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -816,65 +825,56 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def conv(self, a, b, n):
-        """The first n+1 coefficients of the product of the code vectors a
-        and b: bytes when a is bytes (q <= 256), else a list.
+        """The first n+1 coefficients of the product of the code sequences
+        a and b, as a new :attr:`vector`.
 
         Kronecker substitution through the packed-digit layer
         (:class:`_FoldProduct`), slots wide enough for the largest digit sum
-        min(len)*k*(p-1)**2.  Three branches, chosen by operand length,
-        stay in front, each timed faster than the layer on the operands the
-        benchmark pool gives it: over a table field, a one-term operand
-        scaled through the exp/log tables, one translate on bytes (first,
-        since it also serves the engine's one-term updates of whole
-        vectors); over F_p with one-byte slots, the layer's stride-1,
-        width-1 case inline, for the many short Laurent products; and, over
-        F_{2^k} and the odd-p fields of at most 256 elements, a shorter
-        operand of fewer than k terms summed term by term.
+        min(len)*k*(p-1)**2.  Two branches, chosen by operand length, stay
+        in front, each timed faster than the layer on the operands the
+        benchmark pool gives it.  Over a table field, a shorter operand of
+        one term, or of fewer than k over F_{2^k} and the odd-p fields of
+        at most 256 elements, scales shifted copies of the longer one
+        through the exp/log tables, one translate each on bytes, and the
+        copies after the first are added by :meth:`add_shifted`: a
+        one-term operand, the engine's updates of whole vectors, is one
+        translate.  Over F_p with one-byte slots, the layer's stride-1,
+        width-1 case runs inline: about 1 us a call against 5-6 us through
+        the layer, for the short F_p products of the normal-form and fuzz
+        pools (some 1,300 calls an nf-high-order pool pass, 1,070 a
+        fuzz-small one).
         """
-        as_bytes = type(a) is bytes
         if n < 0:
-            return b"" if as_bytes else []
-        # bytes operands are taken at their length unscanned: a zero digit
-        # at the end can only widen a slot
-        if as_bytes:
+            return self.vector(())
+        if self.vector is bytes:
+            # bytes are taken at their length unscanned: a zero digit at
+            # the end can only widen a slot; others lose it at conversion
+            if type(a) is not bytes:
+                a = bytes(a[: n + 1]).rstrip(b"\0")
+            if type(b) is not bytes:
+                b = bytes(b[: n + 1]).rstrip(b"\0")
             la = len(a) if len(a) <= n else n + 1
             lb = len(b) if len(b) <= n else n + 1
         else:
             la, lb = _support_len(a, n + 1), _support_len(b, n + 1)
         if not la or not lb:
-            return bytes(n + 1) if as_bytes else [0] * (n + 1)
-        if (la == 1 or lb == 1) and self._exp is not None:
-            c, v = (a[0], b[:lb]) if la == 1 else (b[0], a[:la])
-            if not c:   # a bytes operand's first digit, taken unscanned
-                return bytes(n + 1)
-            if as_bytes:
-                return bytes(v).translate(self._scale_row(c)).ljust(
-                    n + 1, b"\0")
-            exp, log, q1, lc = self._exp, self._log, self.q - 1, self._log[c]
-            out = [exp[(lc + log[y]) % q1] if y else 0 for y in v]
-            out.extend([0] * (n + 1 - len(out)))
+            return self.vector(bytes(n + 1))
+        if la < self._scale_terms or lb < self._scale_terms:
+            if la > lb:
+                a, b, la = b, a, lb
+            out = self._scale(a[0], b, n)
+            for i in range(1, la):
+                if a[i]:
+                    out = self.add_shifted(out, self._scale(a[i], b, n - i),
+                                           i, n + 1)
             return out
         if la <= self._byte_terms or lb <= self._byte_terms:
             prod = int.from_bytes(a[:la], "little") * \
                 int.from_bytes(b[:lb], "little")
             m = la + lb - 1
             out = prod.to_bytes(m if m > n else n + 1, "little")[: n + 1]
-            out = out.translate(self._mod_bytes)
-            return out if as_bytes else list(out)
+            return out.translate(self._mod_bytes)
         p, k = self.p, self.k
-        if min(la, lb) < k and self._exp is not None and \
-                (p == 2 or self.q <= 256):
-            exp, log, q1, add = self._exp, self._log, self.q - 1, self.add
-            out = [0] * (n + 1)
-            logs_b = [(j, log[y]) for j, y in enumerate(b[:lb]) if y]
-            for i, x in enumerate(a[:la]):
-                if x:
-                    lx = log[x]
-                    for j, ly in logs_b:
-                        if i + j > n:
-                            break
-                        out[i + j] = add(out[i + j], exp[(lx + ly) % q1])
-            return bytes(out) if as_bytes else out
         m = min(n + 1, la + lb - 1)
         ring = self._ring
         stride = ring.stride
@@ -883,15 +883,24 @@ class Field:
             ring.spread(ring.planes(a[:la], stride), width),
             ring.spread(ring.planes(b[:lb], stride), width),
             m, stride, width), m, stride)
-        if type(out) is bytes:
-            out = out.ljust(n + 1, b"\0")
-            return out if as_bytes else list(out)
-        out.extend([0] * (n + 1 - m))
+        return out + self.vector(bytes(n + 1 - m))
+
+    def _scale(self, c, v, n):
+        """The first n+1 coefficients of c times the code sequence v, over
+        a table field, as a vector: one translate through
+        :meth:`_scale_row` on bytes."""
+        if self.vector is bytes:
+            return v[: n + 1].translate(self._scale_row(c)).ljust(n + 1,
+                                                                  b"\0")
+        exp, log, q1, lc = self._exp, self._log, self.q - 1, self._log[c]
+        out = [exp[(lc + log[y]) % q1] if y else 0 for y in v[: n + 1]] \
+            if c else []
+        out += [0] * (n + 1 - len(out))
         return out
 
     def _scale_row(self, c):
-        """The translate table of y -> c*y on the codes, for nonzero c over
-        a field of at most 256 elements, built on first use: the logs read
+        """The translate table of y -> c*y on the codes, over a field of at
+        most 256 elements, built on first use for nonzero c: the logs read
         through the exp table turned by log c, with 0 at q - 1."""
         row = self._rows.get(c)
         if row is None:
@@ -900,14 +909,9 @@ class Field:
                 bytes(exp[lc:] + exp[:lc] + [0]).ljust(256, b"\0"))
         return row
 
-    def vector(self, codes):
-        """A coefficient vector as the kernels here take and give it: bytes
-        when q <= 256, else a list."""
-        return bytes(codes) if self.q <= 256 else list(codes)
-
     def compose(self, outer, inner, og, t):
         """The first t+1 coefficients of outer(inner), for code sequences
-        and an inner series of order og >= 1, as a :meth:`vector`.
+        and an inner series of order og >= 1, as a new :attr:`vector`.
 
         The Frobenius split (Bernstein, "Composing power series over a
         finite ring in essentially linear time", J. Symbolic Comput. 26(3),
@@ -923,6 +927,7 @@ class Field:
         Over an exact field the two sum the same terms, so they agree
         coefficient for coefficient.
         """
+        # converted once, so the split slices and twists the field's vectors
         return self._compose(self.vector(outer[: t // og + 1]),
                              self.vector(inner[: t + 1]), og, t)
 
@@ -933,7 +938,7 @@ class Field:
             return compose_by_powers(self, outer, inner, og, t)
         if self.k == 1:
             twisted = inner
-        elif type(inner) is bytes:
+        elif self.vector is bytes:
             twisted = inner.translate(self._frob_row)
         else:
             twisted = [self.frob(c) for c in inner]
@@ -951,10 +956,8 @@ class Field:
                 power = tail if power is None else \
                     self.conv(power, tail, t - formed * og)
             sub = self._compose(part, twisted[: ti + 1], og, ti)
-            dilated = bytearray(t - lo + 1) if type(sub) is bytes else \
-                [0] * (t - lo + 1)
+            dilated = [0] * (t - lo + 1)
             dilated[::p] = sub
-            dilated = self.vector(dilated)
             if power is not None:
                 dilated = self.conv(power, dilated, t - lo)
             out = self.add_shifted(out, dilated, lo, t + 1)

@@ -2,29 +2,29 @@
 
 A *domain* is any object exposing the kernel protocol used by
 :class:`germ.fields.Field`: attributes ``p`` (the characteristic), ``zero``,
-``one`` and methods ``add, sub, neg, mul, inv, frob, frob_root, from_int,
-is_zero, is_zero_to_prec``; ``vector(codes)``, a coefficient vector as the
-vector kernels take and give it (``bytes`` over a field of at most 256
-elements, else a list); on vectors, ``conv(a, b, n)``, the first n+1
-coefficients of the product, ``add_shifted(lo, hi, off, n)``, the first n
-coefficients of lo + x**off * hi, which may be built in lo's storage, so
-callers hand over a lo they do not read again, and ``compose(outer,
-inner, og, t)``, the first t+1 coefficients of outer(inner) for an inner
-series of order og >= 1; ``dot(pairs)``, the sum of x*y over the (x, y)
-pairs, added left to right with exact zeros skipped; and
-``additive_roots(terms, q)``, the solutions z of sum(c * z**(p**s)) = q
-for (s, c) in ``terms``, which raises when the domain holds none.  Every
-series product goes through ``conv`` and every composition through the
-domain's ``compose``; the engine's chain sums are ``dot`` calls, and it
-keeps its own vectors in the domain's ``vector`` type.  Over an
-exact field the order of a sum is free; over the t-adic domain ``conv``
-and ``dot`` add each output's terms left to right, each partial sum
-exactly ``add(acc, mul(x, y))``, because the order fixes the precision of
-the result.  ``is_zero_to_prec`` is the test comparisons use: true for a
-value that cannot be told from zero at its precision (over a finite
-field, the same as ``is_zero``).  Finite fields store coefficients as int
-codes; the analytic module supplies a t-adic domain with object
-coefficients.
+``one`` and ``vector``, methods ``add, sub, neg, mul, inv, frob,
+frob_root, from_int, is_zero, is_zero_to_prec``, ``dot(pairs)``, the sum
+of x*y over the (x, y) pairs, added left to right with exact zeros
+skipped, and ``additive_roots(terms, q)``, the solutions z of
+sum(c * z**(p**s)) = q for (s, c) in ``terms``, which raises when the
+domain holds none; and three vector kernels: ``conv(a, b, n)``, the
+first n+1 coefficients of the product, ``add_shifted(lo, hi, off, n)``,
+the first n coefficients of lo + x**off * hi, and ``compose(outer, inner,
+og, t)``, the first t+1 coefficients of outer(inner) for an inner series
+of order og >= 1.  Each vector kernel takes any sequences of
+coefficients and returns a new vector of the domain's one type,
+``vector``, writing into no argument; a caller converts with
+``vector(coeffs)`` only a vector it keeps across kernel calls, where that
+saves a conversion per call.  Every series product goes through ``conv``
+and every composition through the domain's ``compose``; the engine's
+chain sums are ``dot`` calls.  Over an exact field the order of a sum is
+free; over the t-adic domain ``conv`` and ``dot`` add each output's terms
+left to right, each partial sum exactly ``add(acc, mul(x, y))``, because
+the order fixes the precision of the result.  ``is_zero_to_prec`` is the
+test comparisons use: true for a value that cannot be told from zero at
+its precision (over a finite field, the same as ``is_zero``).  Finite
+fields store coefficients as int codes; the analytic module supplies a
+t-adic domain with object coefficients.
 
 Truncation is pessimistic: ``trunc`` is the last exponent whose coefficient
 is fully determined by trusted inputs, and every operation recomputes it
@@ -186,7 +186,7 @@ class Series:
         # the kernel sees no leading zeros: a high power's order would
         # otherwise cost a packing pass over zeros on every product
         out = dom.conv(self.coeffs[o1:], other.coeffs[o2:], t - o1 - o2)
-        return Series(dom, [dom.zero] * (o1 + o2) + out, t)
+        return Series(dom, [dom.zero] * (o1 + o2) + list(out), t)
 
     def __mul__(self, other):
         return self.mul(other)

@@ -54,9 +54,7 @@ class OrderedLeft:
         self.dom, self.d, self.n_hi = dom, d, n_hi
         self.unit = unit
         self.wlist = [unit]                 # W_h = (1+eps) * w^h
-        # the sum of phi_h W_h over fixed h; a vector of its own, since
-        # add_shifted may build its result in the vector it is handed
-        self.acc = dom.vector(unit)
+        self.acc = unit                     # the sum of phi_h W_h, fixed h
 
     def _W(self, h):
         dom, d, n_hi = self.dom, self.d, self.n_hi
@@ -81,8 +79,8 @@ class OrderedLeft:
         if dom.is_zero(value) or lo > n_hi:
             return
         self.acc = dom.add_shifted(
-            self.acc, dom.conv(dom.vector([value]), self._W(j)[lo:],
-                               n_hi - lo), lo, n_hi + 1)
+            self.acc, dom.conv([value], self._W(j)[lo:], n_hi - lo), lo,
+            n_hi + 1)
 
 
 class OrderedRight:
@@ -131,7 +129,7 @@ class OrderedRight:
                     coef = math.comb(c, l) % self.p
                     if coef == 0:
                         continue
-                    cd = dom.vector([dom.mul(dom.from_int(coef), dpow)])
+                    cd = [dom.mul(dom.from_int(coef), dpow)]
                     if c != l:
                         cd = conv(cd, fam[c - l], n_hi - off)
                     fam[c] = add_shifted(fam[c], cd, off, n_hi + 1)
@@ -229,7 +227,7 @@ class BlockLeft:
     def __init__(self, dom, unit, d, n_hi):
         self.dom, self.d, self.n_hi = dom, d, n_hi
         self.unit = unit
-        self.acc = dom.vector(unit)         # phi_0 W_0 = u
+        self.acc = unit                     # phi_0 W_0 = u
         self.start, self.block = 1, []      # the phi's from start on, kept
         self.baby = [dom.vector([dom.one]), unit]   # u^i
         self.upow = (1, unit)               # (e, u^e), e <= start + 1
@@ -270,7 +268,7 @@ class BlockLeft:
 
     def _flush(self):
         dom, d, n_hi = self.dom, self.d, self.n_hi
-        conv, add_shifted, vector = dom.conv, dom.add_shifted, dom.vector
+        conv, add_shifted = dom.conv, dom.add_shifted
         phis, start = self.block, self.start
         self.start, self.block = start + len(phis), []
         top = n_hi - d * start              # the block's last degree, from dJ
@@ -280,20 +278,18 @@ class BlockLeft:
         k = math.isqrt(len(phis) - 1) + 1
         baby = self.baby
         while len(baby) <= k:       # none is read past the block's top
-            cut = top - d * len(baby)
-            baby.append(conv(baby[-1], self.unit, cut) if cut >= 0 else
-                        vector([]))
+            baby.append(conv(baby[-1], self.unit, top - d * len(baby)))
         horner = None
         for m in range((len(phis) - 1) // k, -1, -1):
             tm = top - d * k * m            # >= 0, as phis stop at top // d
             chunk = phis[m * k: m * k + k]
             # Q_m to degree tm, or its constant term when it is one phi
             width = tm + 1 if len(chunk) > 1 else 1
-            q = vector([dom.zero] * width)
+            q = ()                          # Q_m, a sum of no terms yet
             for i, c in enumerate(chunk):
                 if not dom.is_zero(c) and d * i < width:
-                    term = vector([c]) if i == 0 else \
-                        conv(vector([c]), baby[i], width - 1 - d * i)
+                    term = [c] if i == 0 else \
+                        conv([c], baby[i], width - 1 - d * i)
                     q = add_shifted(q, term, d * i, width)
             if horner is not None and tm >= d * k:
                 q = add_shifted(q, conv(baby[k], horner, tm - d * k), d * k,
@@ -382,8 +378,7 @@ class _Twist:
 
     def series(self, n):
         vals = self.sync()[: n + 1]
-        return self.kern.dom.vector(
-            vals + [self.kern.dom.zero] * (n + 1 - len(vals)))
+        return vals + [self.kern.dom.zero] * (n + 1 - len(vals))
 
 
 class _Dilate:
@@ -408,7 +403,7 @@ class _Dilate:
         dom = self.kern.dom
         out = [dom.zero] * (n + 1)
         out[:: dom.p] = self.inner.series(n // dom.p)
-        return dom.vector(out)
+        return out
 
 
 class _Product:
@@ -440,13 +435,11 @@ class _Product:
         top, s = n + 1, _STRIP
         while top % s == 0 and top >= 2 * s and top < len(self.acc):
             cut = min(2 * s - 2, len(self.acc) - 1 - top)
-            prod = dom.conv(dom.vector(av[s: 2 * s]),
-                            dom.vector(bv[top - s: top]), cut)
+            prod = dom.conv(av[s: 2 * s], bv[top - s: top], cut)
             self._add_at(top, prod)
             if top > 2 * s:
                 if self.a is not self.b:    # else the mirror is prod
-                    prod = dom.conv(dom.vector(bv[s: 2 * s]),
-                                    dom.vector(av[top - s: top]), cut)
+                    prod = dom.conv(bv[s: 2 * s], av[top - s: top], cut)
                 self._add_at(top, prod)
             s *= 2
 
@@ -458,9 +451,8 @@ class _Product:
         if n <= 0 or c is not None and dom.is_zero(c):
             return
         if c is not None:
-            terms = dom.conv(dom.vector([c]), dom.vector(terms[:n]), n - 1)
-        acc[off: off + n] = dom.add_shifted(dom.vector(acc[off: off + n]),
-                                            terms, 0, n)
+            terms = dom.conv([c], terms, n - 1)
+        acc[off: off + n] = dom.add_shifted(acc[off: off + n], terms, 0, n)
 
     def coef(self, l):
         vals = self.sync()

@@ -50,12 +50,13 @@ def make_germ(field, m, d, trunc, rng, r0_cap=1, density=0.9):
 def schoolbook_conv(field, a, b, n):
     """Reference for ``field.conv``: the first n+1 coefficients of a*b,
     from the domain's scalar add and mul only, each output summed in
-    increasing index of a; bytes when a is bytes, as the kernel gives."""
+    increasing index of a; a vector of the field's type, as the kernel
+    gives."""
     out = [field.zero] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         for j, y in enumerate(b[: n + 1 - i]):
             out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return bytes(out) if type(a) is bytes else out
+    return field.vector(out)
 
 
 def schoolbook_field_mul(field, a, b):
@@ -125,13 +126,13 @@ def _digits(p, n, code):
 
 def schoolbook_add_shifted(field, lo, hi, off, n):
     """Reference for ``field.add_shifted``: the first n coefficients of
-    lo + x**off * hi, one scalar add per overlapping digit; bytes when lo
-    is bytes, as the kernel gives."""
+    lo + x**off * hi, one scalar add per overlapping digit; a vector of the
+    field's type, as the kernel gives."""
     out = list(lo[:n])
     out += [0] * (n - len(out))
     for j, c in enumerate(hi[: max(n - off, 0)]):
         out[off + j] = field.add(out[off + j], c)
-    return bytes(out) if type(lo) is bytes else out
+    return field.vector(out)
 
 
 def schoolbook_dot(field, pairs):
@@ -281,6 +282,14 @@ def laurent_conv_reference(dom, a, b, n, add=LaurentDomain.add,
     return out
 
 
+def reference_frob(field, a, m=1):
+    """Reference for ``Field.frob``: a**(p**m) as m mod k p-th powers by
+    ``field.pow``, with no Frobenius matrix."""
+    for _ in range(m % field.k):
+        a = field.pow(a, field.p)
+    return a
+
+
 def power_loop_compose(field, outer, inner, og, t):
     """Reference for ``Field.compose``: the power loop alone, with no
     Frobenius split, through the field's (possibly swapped) ``conv`` and
@@ -309,6 +318,7 @@ _REFERENCE_KERNELS = {
     (Field, "dot"): schoolbook_dot,
     (_FoldProduct, "add"): schoolbook_fold_add,
     (Field, "neg"): schoolbook_field_neg,
+    (Field, "frob"): reference_frob,
     (Field, "left_side"): ordered_left_side,
     (Field, "right_side"): ordered_right_side,
     (Field, "additive_roots"): reference_field_additive_roots,
@@ -323,8 +333,9 @@ def reference_kernels():
     """Run every ``Field`` and ``LaurentDomain`` on the schoolbook
     references: ``Field.conv``, ``add_shifted``, ``dot``, the table-free
     product ``_raw_mul``, the table-free sum ``_FoldProduct.add`` and
-    ``Field.neg`` digit by digit, ``Field.compose`` as the power loop with
-    no Frobenius split, ``Field``'s engine kernels ``left_side`` and
+    ``Field.neg`` digit by digit, ``Field.frob`` as repeated p-th powers
+    with no Frobenius matrix, ``Field.compose`` as the power loop with no
+    Frobenius split, ``Field``'s engine kernels ``left_side`` and
     ``right_side`` as the ordered ones of ``LaurentDomain``,
     ``Field.additive_roots`` as a fresh elimination for every right side,
     with no kept map, ``_FoldProduct.pow`` (table builds, inverses and

@@ -4,9 +4,12 @@ references built from scalar field ops only, as hypothesis properties.
 Each op must agree exactly in (val, unit, prec): the digit work runs in the
 packed Field kernels and the packed accumulate step, and the precision each
 output carries is part of every witness the growth certificate reads.
-Units compare as tuples: a domain over at most 256 elements stores them as
-bytes, a larger one as tuples.
+Units compare as tuples: a domain stores them as vectors of its base field's
+type, bytes over at most 256 elements and lists above.
 """
+
+import math
+import random
 
 import pytest
 
@@ -26,7 +29,7 @@ from germ_testutil import (laurent_add_reference,  # noqa: E402
 # F_2, F_4: packed xor; F_3, F_5, F_7: packed add and translate, and F_5 and
 # F_7 cross conv's one-byte bound at 16 and 8 digits; F_9: per-digit adds.
 # The F_3 domain at prec 70 reaches F_3's bound at 64 digits.  F_{17^2} has
-# 289 elements, so its units stay tuples.  conv and dot accumulate packed
+# 289 elements, so its units are lists.  conv and dot accumulate packed
 # over F_p while (p-1) + prec*(p-1)**2 <= 255, and both sides of that bound
 # are here: F_3 at prec 63 and 64, F_5 at 15 and 16, F_7 at 6 and 7; F_2 at
 # prec 100 sums long units packed; F_5 and F_7 at prec 20 are past theirs.
@@ -39,7 +42,7 @@ KERNEL_DOMAINS = [LaurentDomain(field_create(p, k), prec=prec)
 
 
 def _unit_type(dom):
-    return bytes if dom.base.q <= 256 else tuple
+    return type(dom.base.vector(()))
 
 
 def _in_domain(dom, x):
@@ -264,3 +267,117 @@ def test_packed_bound_splits_the_kernel_domains():
               if dom._packed_mod is not None}
     assert packed == {(2, 1, 20), (3, 1, 20), (3, 1, 63), (2, 1, 100),
                       (5, 1, 15), (7, 1, 6)}
+    # and of the caps test_results_agree_across_caps draws over F_3
+    assert [field_create(3, 1).packed_mod(cap) is not None
+            for cap in CAPS] == [True] * 5 + [False] * 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_vector_kernels_write_into_no_argument(data):
+    # conv, add_shifted and compose give back a new list, and no kernel
+    # writes into an argument or a unit in it, not even a lo of exactly n
+    # scalars
+    dom = data.draw(st.sampled_from(KERNEL_DOMAINS))
+    kind = data.draw(st.sampled_from([list, tuple]))
+    scalars = st.lists(laurent_scalars(dom), max_size=6).map(
+        lambda xs: kind(_in_domain(dom, x) for x in xs))
+    lo, hi, inner = data.draw(scalars), data.draw(scalars), data.draw(scalars)
+    inner = kind([dom.zero]) + inner
+    og = next((i for i, c in enumerate(inner) if not dom.is_zero(c)), None)
+    args = (lo, hi, inner)
+    saved = [[(x, _triple(x)) for x in v] for v in args]
+    calls = [dom.conv(lo, hi, n) for n in (0, 3, 9)]
+    calls += [dom.add_shifted(lo, hi, off, n)
+              for off in (0, 2) for n in (0, len(lo), 9)]
+    if og is not None:
+        calls += [dom.compose(lo, inner, og, t) for t in (0, 6)]
+    dom.dot(list(zip(lo, hi)))
+    assert [[(x, _triple(x)) for x in v] for v in args] == saved
+    for got in calls:
+        assert type(got) is list and all(got is not v for v in args)
+
+
+# F_3((t)) runs conv and dot packed up to cap 63 and by add and mul from 64
+# on (Field.packed_mod); F_9((t)) never packs.  Caps on both sides.
+CAPS = [3, 5, 8, 61, 63, 64, 66]
+
+
+def _random_scalar(dom, rng, kind):
+    """A scalar of ``dom``: exact and long enough that the cap cuts the
+    product of two, exact of a few digits, capped, zero, or zero to a
+    precision."""
+    top, cap = dom.base.q - 1, dom.prec
+    val = rng.randrange(-3, 4)
+    if kind == "zero":
+        return dom.zero
+    if kind == "vanishing":
+        return laurent_mk_reference(dom, val, [], rng.randrange(1, cap + 1))
+    n = rng.randrange((cap + 3) // 2, cap + 1) if kind == "long" else \
+        rng.randrange(1, min(cap, 4) + 1)
+    digits = [rng.randrange(1, top + 1)] + \
+        [rng.randrange(top + 1) for _ in range(n - 1)]
+    prec = rng.randrange(1, cap + 1) if kind == "capped" else None
+    return _in_domain(dom, laurent_mk_reference(dom, val, digits, prec))
+
+
+@st.composite
+def cap_operands(draw):
+    """Two domains over F_3 or F_9, of caps P < P', and operand lists valid
+    at both.  Half the time coefficient 2 of a*b is a0 b2 + 1 * b1 + a2 b0
+    with a0 b2 cut by the cap P and b1 cancelling its leading digits, so
+    a sum whose end the cap set is added to, and then added to again."""
+    base = draw(st.sampled_from([field_create(3, 1), field_create(3, 2)]))
+    cap = draw(st.sampled_from(CAPS))
+    dom = LaurentDomain(base, cap)
+    wide = LaurentDomain(base, cap + draw(st.sampled_from([1, 4, 40])))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    chain = draw(st.booleans())
+    kinds = ["long", "long", "short", "capped", "zero", "vanishing"]
+    a, b = ([_random_scalar(dom, rng, rng.choice(kinds))
+             for _ in range(draw(st.integers(3 if chain else 0, 4)))]
+            for _ in range(2))
+    if chain:
+        a[0], b[2] = (_random_scalar(dom, rng, "long") for _ in range(2))
+        prod = dom.mul(a[0], b[2])
+        lead = rng.randrange(1, len(prod.unit) + 1)
+        digits = [base.neg(d) for d in prod.unit[:lead]] + \
+            [rng.randrange(base.q) for _ in range(rng.randrange(3))]
+        a[1] = dom.one
+        b[1] = _in_domain(dom, laurent_mk_reference(dom, prod.val, digits,
+                                                     None))
+    return dom, wide, a, b, draw(st.integers(0, 6))
+
+
+def _digit(x, e):
+    i = e - x.val
+    return x.unit[i] if 0 <= i < len(x.unit) else 0
+
+
+def _agrees(x, y):
+    """y, from a higher cap, equals an exact x, and agrees with an inexact
+    x on every digit below x.val + x.prec."""
+    if x.prec is None:
+        return _triple(x) == _triple(y)
+    end = x.val + x.prec
+    start = x.val if y.val == math.inf else min(x.val, y.val)
+    return all(_digit(x, e) == _digit(y, e) for e in range(start, end))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cap_operands())
+def test_results_agree_across_caps(operands):
+    # a digit claimed at cap P that the cap cut from a term would read as
+    # zero there and as the term's digit at P'
+    dom, wide, a, b, n = operands
+    og = next((i for i, c in enumerate(b) if i and not dom.is_zero(c)),
+              None)
+    ops = [lambda d: d.conv(a, b, n),
+           lambda d: [d.dot(list(zip(a, b[::-1])))],
+           lambda d: d.add_shifted(a, b, n % 3, n + 1)]
+    if og is not None:
+        ops.append(lambda d: d.compose(a, [d.zero] + b[1:], og, n + og))
+    for op in ops:
+        got, want = op(dom), op(wide)
+        assert len(got) == len(want)
+        assert all(_agrees(x, y) for x, y in zip(got, want)), (got, want)

@@ -73,8 +73,8 @@ def test_mul_distributive(fgh):
 def test_mul_matches_schoolbook(fgh):
     f, g, _, t = fgh
     prod = f.mul(g, trunc=t)
-    assert prod.coeffs == schoolbook_conv(f.dom, f.coeffs, g.coeffs,
-                                          prod.trunc)
+    assert prod.coeffs == list(schoolbook_conv(f.dom, f.coeffs, g.coeffs,
+                                               prod.trunc))
     assert prod.trunc == min(f.trunc + g.ord_floor(),
                              g.trunc + f.ord_floor(), t)
 
