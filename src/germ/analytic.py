@@ -123,10 +123,8 @@ class LaurentDomain:
         return LaurentScalar(v, self._unit((code,)), None)
 
     def make(self, val, digits, prec=None):
-        return self._mk(val, digits, prec)
-
-    def _mk(self, val, digits, prec):
-        """Normalize: strip known-zero leading digits, cap stored digits."""
+        """The scalar t^val * digits, normalized: known-zero leading digits
+        stripped, stored digits capped."""
         if type(digits) is not self._unit:
             digits = self._unit(digits)
         n, cap = len(digits), self.prec
@@ -154,7 +152,7 @@ class LaurentDomain:
             prec = cap
         if prec is not None and prec > cap:
             prec = cap
-            digits = digits[:cap]
+            digits = _rstrip(digits[:cap])
         return LaurentScalar(val, digits, prec)
 
     # -- predicates ----------------------------------------------------------
@@ -193,7 +191,7 @@ class LaurentDomain:
                 return LaurentScalar(end, self._empty, 0)
             if ln > self.prec:
                 ln = self.prec
-        return self._mk(v, self.base.add_shifted(lo.unit, hi.unit,
+        return self.make(v, self.base.add_shifted(lo.unit, hi.unit,
                                                  hi.val - v, ln), prec)
 
     def neg(self, x):
@@ -224,74 +222,65 @@ class LaurentDomain:
             if yp is not None and yp < prec:
                 prec = yp
         n = conv_len if prec is None or conv_len <= prec else prec
-        return self._mk(x.val + y.val, self.base.conv(xu, yu, n - 1), prec)
+        return self.make(x.val + y.val, self.base.conv(xu, yu, n - 1), prec)
 
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of two scalar
         sequences, as a new list: each output is the :meth:`dot` of its
         terms in increasing index of a, exact zeros skipped, which fixes
-        how precision is tracked.  Each operand is read once."""
-        xs, ys = self._read(a[: n + 1]), self._read(b[: n + 1])
-        ys = [(j, y) for j, y in enumerate(ys) if y]
-        # packed: each output's terms, summed in one accumulate pass; else
-        # each term goes through mul and add in place
-        packed = self._packed_mod is not None
-        out = [[] for _ in range(n + 1)] if packed else [self.zero] * (n + 1)
-        add, mul = self.add, self.mul
-        for i, x in enumerate(xs):
-            if x:
+        how precision is tracked; every output's pairs go to one
+        :meth:`_accumulate`."""
+        ys = [(j, y) for j, y in enumerate(b[: n + 1])
+              if y.unit or y.prec is not None]
+        out = [[] for _ in range(n + 1)]
+        for i, x in enumerate(a[: n + 1]):
+            if x.unit or x.prec is not None:
                 for j, y in ys:
                     if i + j > n:
                         break
-                    if packed:
-                        out[i + j].append((x, y))
-                    else:
-                        out[i + j] = add(out[i + j], mul(x, y))
-        return self._accumulate(out) if packed else out
+                    out[i + j].append((x, y))
+        return self._accumulate(out)
 
     def dot(self, pairs):
         """The sum of x*y over the (x, y) pairs, added left to right with
         exact zeros skipped: each partial sum is add(acc, mul(x, y))."""
-        read = self._read([z for pair in pairs for z in pair])
-        terms = [(x, y) for x, y in zip(read[::2], read[1::2]) if x and y]
-        if self._packed_mod is not None:
-            return self._accumulate([terms])[0]
-        add, mul, acc = self.add, self.mul, self.zero
-        for x, y in terms:
-            acc = add(acc, mul(x, y))
-        return acc
-
-    def _read(self, xs):
-        """Scalars as :meth:`conv` and :meth:`dot` take them, None for an
-        exact zero: over a packed domain (val, unit as a little-endian int,
-        unit length, prec), as :meth:`_accumulate` takes them."""
-        if self._packed_mod is None:
-            return [None if x.prec is None and not x.unit else x for x in xs]
-        frm = int.from_bytes
-        return [None if x.prec is None and not x.unit else
-                (x.val, frm(x.unit, "little"), len(x.unit), x.prec)
-                for x in xs]
+        return self._accumulate([pairs])[0]
 
     def _accumulate(self, cells):
-        """Over a packed domain, for each cell of read (x, y) pairs, the sum
-        of x*y left to right, each partial sum exactly add(acc, mul(x, y)).
+        """For each cell of (x, y) scalar pairs, the sum of x*y left to
+        right with exact zeros skipped, each partial sum exactly
+        add(acc, mul(x, y)).
 
-        A term is one int product, masked to its prec as ``mul`` caps it,
-        added unreduced to the reduced sum so far: no byte slot carries, so
-        one translate reduces both.  The (val, prec) rules are ``mul``'s
-        then ``add``'s; ``_mk`` runs only off its fast path (a cancelled
-        leading digit, or the cap).
+        Over a packed domain one loop reads each pair's val, unit and prec:
+        a term is one int product of the units as little-endian ints,
+        masked to its prec as ``mul`` caps it, added unreduced to the
+        reduced sum so far: no byte slot carries, so one translate reduces
+        both.  The (val, prec) rules are ``mul``'s then ``add``'s; ``_mk``
+        runs only off its fast path (a cancelled leading digit, or the
+        cap).  Elsewhere each term is add(acc, mul(x, y)) as it stands,
+        which leaves an exact zero out as well.
         """
         out = []
         cap, mod, frm = self.prec, self._packed_mod, int.from_bytes
+        if mod is None:
+            add, mul = self.add, self.mul
+            for terms in cells:
+                acc = self.zero
+                for x, y in terms:
+                    acc = add(acc, mul(x, y))
+                out.append(acc)
+            return out
         for terms in cells:
             acc = None                              # exact zero
-            for (xv, xi, xl, xp), (yv, yi, yl, yp) in terms:
-                v = xv + yv
-                if not xl or not yl:                # O(t^v)
-                    pi = pl = pp = 0
+            for x, y in terms:
+                xu, yu, xp, yp = x.unit, y.unit, x.prec, y.prec
+                if not xu or not yu:
+                    if xp is None and not xu or yp is None and not yu:
+                        continue                    # an exact zero
+                    pi = pl = pp = 0                # O(t^v)
                 else:
-                    pi, pl = xi * yi, xl + yl - 1
+                    pi = frm(xu, "little") * frm(yu, "little")
+                    pl = len(xu) + len(yu) - 1
                     if xp is None and yp is None:
                         pp = None if pl <= cap else cap
                     else:
@@ -303,6 +292,7 @@ class LaurentDomain:
                     if pp is not None and pl > pp:
                         pi &= (1 << 8 * pp) - 1
                         pl = pp
+                v = x.val + y.val
                 if acc is None:
                     acc = v, pi.to_bytes(pl, "little").translate(mod) \
                         .rstrip(b"\0"), pp
@@ -337,7 +327,7 @@ class LaurentDomain:
                 if fast and digits[0]:
                     acc = lo, digits.rstrip(b"\0"), prec
                 else:
-                    acc = self._mk(lo, digits, prec)
+                    acc = self.make(lo, digits, prec)
                     acc = None if self.is_zero(acc) else \
                         (acc.val, acc.unit, acc.prec)
             out.append(self.zero if acc is None else LaurentScalar(*acc))
@@ -368,8 +358,8 @@ class LaurentDomain:
         return compose_by_powers(self, outer, inner, og, t)
 
     def left_side(self, unit, d, n_hi):
-        """The engine's left-side kernel: one phi at a time, in the order
-        that fixes every precision (:class:`~germ.sides.OrderedLeft`)."""
+        """The engine's left-side kernel: each coefficient one ordered
+        ``dot`` (:class:`~germ.sides.OrderedLeft`)."""
         return OrderedLeft(self, unit, d, n_hi)
 
     def right_side(self, n_hi, supp):
@@ -389,7 +379,7 @@ class LaurentDomain:
                                  x.prec)
         ln = self.prec if x.prec is None else min(x.prec, self.prec)
         out = Series(base, x.unit, ln - 1).reciprocal().coeffs
-        return self._mk(-x.val, out, ln)
+        return self.make(-x.val, out, ln)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -411,14 +401,12 @@ class LaurentDomain:
         step = self.p ** m
         frob = self.base.frob
         ln = (len(x.unit) - 1) * step + 1
-        prec = None
-        if x.prec is not None:
-            prec = x.prec * step
+        prec = None if x.prec is None else x.prec * step
         out = [0] * ln
         for i, d in enumerate(x.unit):
             if d:
                 out[i * step] = frob(d, m)
-        return self._mk(x.val * step, out, prec)
+        return self.make(x.val * step, out, prec)
 
     def frob_root(self, x, m=1):
         if m == 0 or self.is_zero(x):
@@ -439,11 +427,8 @@ class LaurentDomain:
                         f"digit at t^{x.val + i} obstructs the p^{m}-th root")
             else:
                 out.append(froot(d, m))
-        prec = None
-        if x.prec is not None:
-            prec = (x.prec + step - 1) // step
-            out = out[:prec]
-        return self._mk(x.val // step, out, prec)
+        prec = None if x.prec is None else (x.prec + step - 1) // step
+        return self.make(x.val // step, out[:prec], prec)
 
 
 def tval(x):
@@ -550,10 +535,21 @@ class GrowthCertificate:
 
     def c_n_closed(self, n):
         """s_0 + c (n - s_0) - k delta_h: the closed form."""
+        a, b, den, _ = self.c_n_piece(n)
+        return Fraction(a + b * n, den)
+
+    def c_n_piece(self, n):
+        """(a, b, den, end) in integers, den > 0: c_n = (a + b*n) / den for
+        n up to end - 1.  The closed form is linear on each segment: n up
+        to s_0, then s_0 + c (n - s_0) - (n - s_h) delta_h on segment h."""
         if n <= self.s0:
-            return Fraction(n)
-        h, k = self._locate(n)
-        return self.s0 + self.c * (n - self.s0) - k * self.delta_h(h)
+            return 0, 1, 1, self.s0 + 1
+        h, _ = self._locate(n)
+        delta = self.delta_h(h)
+        a = self.s0 * (1 - self.c) + delta * self.s_h(h)
+        b = self.c - delta
+        return (a.numerator * b.denominator, b.numerator * a.denominator,
+                a.denominator * b.denominator, self.s_h(h + 1))
 
     def linear_bound(self):
         """(A, B) with scale*c_n <= A + B*n for all n."""
@@ -608,19 +604,22 @@ class GrowthReport:
 
 
 def check_growth(witness: ConjugacyWitness, cert: GrowthCertificate):
-    """Assert -val(phi_n) <= W * c_n for every computed coefficient."""
-    phi = witness.phi
+    """Assert -val(phi_n) <= W * c_n for every computed coefficient, in
+    integers along :meth:`GrowthCertificate.c_n_piece`; a ``Fraction`` is
+    built only for a violation and for the largest ratio -val / (W c_n)."""
+    phi, scale = witness.phi, cert.scale
     violations = []
-    max_ratio = Fraction(0)
+    best, end = (0, 1), 1         # the largest ratio so far, as (num, den)
     for n in range(1, phi.trunc + 1):
         val = tval(phi.coeffs[n])
         if val is _INF or val == _INF:
             continue
-        need = cert.scale * cert.c_n_closed(n)
-        ratio = Fraction(-val, 1) / need
-        if ratio > max_ratio:
-            max_ratio = ratio
-        if -val > need:
-            violations.append((n, val, need))
-    return GrowthReport(not violations, phi.trunc, violations, max_ratio,
-                        cert.linear_bound())
+        if n >= end:
+            a, b, den, end = cert.c_n_piece(n)
+        need = scale * (a + b * n)          # den * W * c_n > 0
+        if -val * den * best[1] > best[0] * need:
+            best = (-val * den, need)
+        if -val * den > need:
+            violations.append((n, val, Fraction(need, den)))
+    return GrowthReport(not violations, phi.trunc, violations,
+                        Fraction(*best), cert.linear_bound())

@@ -21,9 +21,9 @@ Two implementations of each live here, both written over the domain
 protocol alone:
 
 - :class:`OrderedLeft` and :class:`OrderedRight` keep the order in which
-  the engine has always added its terms: a full product W_h per h, one
-  scaled ``add_shifted`` per fixed phi, chain sums with the term that reads
-  the newest unknown added last.  Over F_q((t)) that order fixes every
+  the engine has always added its terms: each sum is one ``dot`` in
+  increasing h, pulled when it is read, and a chain's term that reads the
+  newest unknown is added last.  Over F_q((t)) that order fixes every
   output's precision, so ``LaurentDomain`` uses them, and they are the
   reference the fast kernels are checked against.
 - :class:`BlockLeft` and :class:`RelaxedRight` regroup the same sums into
@@ -45,56 +45,59 @@ import math
 # ---------------------------------------------------------------------------
 
 class OrderedLeft:
-    """The left side, one phi at a time: W_h = W_(h-1) * w by one ``conv``
-    each, and each fixed phi_h added to the running sum as phi_h W_h by a
-    one-term ``conv`` and ``add_shifted``, so every coefficient is the sum
-    of its terms in increasing h."""
+    """The left side, pulled when read: coefficient n is one ``dot`` of
+    (phi_h, W_h[n]) over the fixed h <= n/d, h increasing, with W_h =
+    W_(h-1) * w by one ``conv`` each.  A sum is kept with its term count
+    and extended after a leading (sum, 1) pair: the same partial sums."""
 
     def __init__(self, dom, unit, d, n_hi):
         self.dom, self.d, self.n_hi = dom, d, n_hi
-        self.unit = unit
         self.wlist = [unit]                 # W_h = (1+eps) * w^h
-        self.acc = unit                     # the sum of phi_h W_h, fixed h
+        self.phis = [dom.one]
+        self.sums = [(0, dom.zero)] * (n_hi + 1)    # (terms, their sum)
 
     def _W(self, h):
         dom, d, n_hi = self.dom, self.d, self.n_hi
         while len(self.wlist) <= h:
             # W_hh = W_(hh-1) * y^d (1+eps); W_(hh-1) vanishes below d(hh-1)
             lo = d * len(self.wlist)
-            prod = dom.conv(self.wlist[-1][lo - d: n_hi + 1 - d], self.unit,
-                            n_hi - lo)
+            prod = dom.conv(self.wlist[-1][lo - d: n_hi + 1 - d],
+                            self.wlist[0], n_hi - lo)
             self.wlist.append(dom.vector([dom.zero] * min(lo, n_hi + 1)) +
                               prod)
         return self.wlist[h]
 
     def coef(self, n):
-        return self.acc[n]
+        top = min(len(self.phis), n // self.d + 1)
+        done, acc = self.sums[n]
+        if done < top:              # a first read's acc is the exact zero
+            self._W(top - 1)
+            wlist, phis = self.wlist, self.phis
+            acc = self.dom.dot([(acc, self.dom.one)] + [
+                (phis[h], wlist[h][n]) for h in range(done, top)])
+            self.sums[n] = (top, acc)
+        return acc
 
     def unknown_coef(self, n, h):
         return self._W(h)[n] if self.d * h <= n else self.dom.zero
 
     def assign(self, j, value):
-        dom, n_hi = self.dom, self.n_hi
-        lo = self.d * j
-        if dom.is_zero(value) or lo > n_hi:
-            return
-        self.acc = dom.add_shifted(
-            self.acc, dom.conv([value], self._W(j)[lo:], n_hi - lo), lo,
-            n_hi + 1)
+        self.phis.append(value)
 
 
 class OrderedRight:
     """The chains, as running power families and memoised sums.
 
     (T^tau phi)^M is read along the base-p digits of M: for M < p it is a
-    power psi^M of psi = T^tau phi, kept as a whole vector and updated by
-    the binomial expansion when a phi is fixed; otherwise it is psi^c0
-    times (T^(tau+1) phi)^(M // p) at y^p, c0 = M mod p, whose coefficient
-    l sums s_b a_(l-pb) over b.  The terms b >= 1 are one ``dot``, left to
+    power psi^M of psi = T^tau phi, a whole vector; a fixed phi_j is
+    written as psi_j after the binomial updates of the higher powers,
+    which read the old psi.  Otherwise it is psi^c0 times
+    (T^(tau+1) phi)^(M // p) at y^p, c0 = M mod p, whose coefficient l
+    sums s_b a_(l-pb) over b.  The terms b >= 1 are one ``dot``, left to
     right, kept once they are all final; the term b = 0 reads a_l, the
-    newest unknown, and is added last, so a value read before that
-    unknown is fixed and the final value share one sum.  Each coefficient
-    is kept once it no longer depends on unfixed phi's.
+    newest unknown, and is added last, so a value read before that unknown
+    is fixed and the final value share one sum.  Each coefficient is kept
+    once it no longer depends on unfixed phi's.
 
     ``supp`` is the engine's registered support, (i, step, M, tau)
     entries: a family starts with every power the support will read and
@@ -106,7 +109,7 @@ class OrderedRight:
         self.dom, self.p, self.n_hi, self.supp = dom, dom.p, n_hi, supp
         self.phis = [dom.one]
         self.frontier = 0
-        self.twistpow = {}                  # tau -> [None, psi, ..., psi^c]
+        self.twistpow = {}      # tau -> [None, psi as a list, ..., psi^c]
         self.chains = {}                    # (tau, M) -> memoised prefix
         self.partials = {}                  # (tau, M, l) -> final b >= 1 sum
 
@@ -116,10 +119,9 @@ class OrderedRight:
         self.frontier = j
         if dom.is_zero(value):
             return
-        conv, add_shifted = dom.conv, dom.add_shifted
         for tau, fam in self.twistpow.items():
             dtw = dom.frob(value, tau)
-            for c in range(len(fam) - 1, 0, -1):
+            for c in range(len(fam) - 1, 1, -1):
                 dpow = dom.one
                 for l in range(1, c + 1):
                     dpow = dom.mul(dpow, dtw)
@@ -131,8 +133,9 @@ class OrderedRight:
                         continue
                     cd = [dom.mul(dom.from_int(coef), dpow)]
                     if c != l:
-                        cd = conv(cd, fam[c - l], n_hi - off)
-                    fam[c] = add_shifted(fam[c], cd, off, n_hi + 1)
+                        cd = dom.conv(cd, fam[c - l], n_hi - off)
+                    fam[c] = dom.add_shifted(fam[c], cd, off, n_hi + 1)
+            fam[1][j] = dtw
 
     def _twist_power(self, tau, c):
         """Coefficients of psi^c, psi = T^tau phi."""
@@ -140,7 +143,7 @@ class OrderedRight:
         fam = self.twistpow.get(tau)
         if fam is None:
             psi = [dom.frob(v, tau) for v in self.phis]
-            fam = [None, dom.vector(psi + [dom.zero] * (n_hi + 1 - len(psi)))]
+            fam = [None, psi + [dom.zero] * (n_hi + 1 - len(psi))]
             self.twistpow[tau] = fam
             for (_, _, mexp, tau0) in self.supp:
                 if tau0 <= tau:
@@ -199,10 +202,7 @@ class OrderedRight:
             if not final and l - p <= self.frontier and \
                     l // p <= self._final_cap(tau + 1, mp):
                 self.partials[key] = rest
-        s, a = inner[0], small[l]
-        if dom.is_zero(s) or dom.is_zero(a):
-            return rest
-        return dom.add(rest, dom.mul(s, a))
+        return dom.dot([(rest, dom.one), (inner[0], small[l])])
 
 
 # ---------------------------------------------------------------------------

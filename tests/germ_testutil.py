@@ -298,9 +298,84 @@ def power_loop_compose(field, outer, inner, og, t):
                              og, t)
 
 
+class PushLeft(OrderedLeft):
+    """Reference for :class:`~germ.sides.OrderedLeft`: the left side
+    pushed one phi at a time into a running sum of whole vectors, each
+    fixed phi_h added as phi_h W_h by a one-term ``conv`` and
+    ``add_shifted``."""
+
+    def __init__(self, dom, unit, d, n_hi):
+        super().__init__(dom, unit, d, n_hi)
+        self.acc = unit                     # the sum of phi_h W_h, fixed h
+
+    def coef(self, n):
+        return self.acc[n]
+
+    def assign(self, j, value):
+        dom, n_hi = self.dom, self.n_hi
+        lo = self.d * j
+        if dom.is_zero(value) or lo > n_hi:
+            return
+        self.acc = dom.add_shifted(
+            self.acc, dom.conv([value], self._W(j)[lo:], n_hi - lo), lo,
+            n_hi + 1)
+
+
+class PushRight(OrderedRight):
+    """Reference for :class:`~germ.sides.OrderedRight`: psi_j is added
+    into psi by ``add_shifted`` as the c = 1 binomial update, and a chain
+    coefficient's b = 0 term by ``add`` of ``mul``."""
+
+    def assign(self, j, value):
+        dom, n_hi = self.dom, self.n_hi
+        self.phis.append(value)
+        self.frontier = j
+        if dom.is_zero(value):
+            return
+        for tau, fam in self.twistpow.items():
+            dtw = dom.frob(value, tau)
+            for c in range(len(fam) - 1, 0, -1):
+                dpow = dom.one
+                for l in range(1, c + 1):
+                    dpow = dom.mul(dpow, dtw)
+                    off = j * l
+                    if off > n_hi:
+                        break
+                    coef = math.comb(c, l) % self.p
+                    if coef == 0:
+                        continue
+                    cd = [dom.mul(dom.from_int(coef), dpow)]
+                    if c != l:
+                        cd = dom.conv(cd, fam[c - l], n_hi - off)
+                    fam[c] = dom.add_shifted(fam[c], cd, off, n_hi + 1)
+
+    def _chain_compute(self, tau, mexp, l, final):
+        dom, p = self.dom, self.p
+        mp = mexp // p
+        small = self._twist_power(tau, mexp % p)
+        key = (tau, mexp, l)
+        rest = self.partials.pop(key, None) if final else \
+            self.partials.get(key)
+        if mp < p:
+            inner = self._twist_power(tau + 1, mp)
+        else:
+            inner = [self.coef(tau + 1, mp, b) for b in
+                     range(1 if rest is not None else l // p + 1)]
+        if rest is None:
+            rest = dom.dot([(inner[b], small[l - p * b])
+                            for b in range(1, l // p + 1)])
+            if not final and l - p <= self.frontier and \
+                    l // p <= self._final_cap(tau + 1, mp):
+                self.partials[key] = rest
+        s, a = inner[0], small[l]
+        if dom.is_zero(s) or dom.is_zero(a):
+            return rest
+        return dom.add(rest, dom.mul(s, a))
+
+
 def ordered_left_side(field, unit, d, n_hi):
-    """Reference for ``Field.left_side``: the engine's left side one phi at
-    a time, as over F_q((t))."""
+    """Reference for ``Field.left_side``: the engine's left side in the
+    order of F_q((t)), each coefficient one ``dot`` in increasing h."""
     return OrderedLeft(field, unit, d, n_hi)
 
 
@@ -395,6 +470,45 @@ def laurent_germ_to_dict(f):
             "series": {"trunc": f.series.trunc, "coeffs": coeffs}}
 
 
+def growth_germ(dom, rng):
+    """Criterion 08's random germ x^3 + c t^v x^4 + ... over F_q((t)), and
+    v: profile (m, e, r_0) = (0, 1, 1), coefficients at x^5..x^9 of one or
+    two digits and valuation below 3.  Over F_3 the draws are criterion
+    08's own."""
+    q = dom.base.q
+    trunc = 24
+    co = [dom.zero] * (trunc + 1)
+    co[3] = dom.one
+    v = rng.choice([0, 0, 0, 1, 2])
+    co[4] = dom.t_power(v, 1 + rng.randrange(q - 1))
+    for idx in (5, 6, 7, 8, 9):
+        if rng.random() < 0.5:
+            digits = [rng.randrange(q) for _ in range(rng.randrange(1, 3))]
+            digits[0] = rng.randrange(1, q) if rng.random() < 0.8 else \
+                digits[0]
+            if any(digits):
+                while digits[0] == 0:
+                    digits.pop(0)
+                co[idx] = dom.make(rng.randrange(0, 3), digits)
+    return Germ1D(dom, Series(dom, co, trunc)), v
+
+
+def r0_two_germ(dom, rng):
+    """A random germ x^3 + c x^5 + ... over F_3((t)) with r_0 = 2: its
+    right side reads psi^2 chains, which criterion 08's (r_0 = 1) never
+    does."""
+    co = [dom.zero] * 25
+    co[3] = dom.one
+    co[5] = dom.make(0, [2] + [rng.randrange(3)
+                               for _ in range(rng.randrange(3))])
+    for idx in range(6, 11):
+        if rng.random() < 0.6:
+            digits = [rng.randrange(1, 3)] + \
+                [rng.randrange(3) for _ in range(rng.randrange(3))]
+            co[idx] = dom.make(rng.randrange(3), digits)
+    return Germ1D(dom, Series(dom, co, 24))
+
+
 def laurent_lift_series(dom, s):
     """A finite-field series lifted to constant coefficients of the
     Laurent domain ``dom`` over its field."""
@@ -436,6 +550,8 @@ def laurent_mk_reference(dom, val, digits, prec):
     if prec is not None and prec > dom.prec:
         prec = dom.prec
         digits = digits[: prec]
+        while digits and digits[-1] == 0:
+            digits.pop()
     return LaurentScalar(val, tuple(digits), prec)
 
 

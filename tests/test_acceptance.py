@@ -28,7 +28,7 @@ from germ.normalizer import (bhard_extract, bottcher_product,
                              min_trunc, normal_form, normalize_unit,
                              random_conjugate)
 from germ.series import Germ1D, Series
-from germ_testutil import make_germ
+from germ_testutil import growth_germ, make_germ
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -259,22 +259,7 @@ def test_criterion_08_growth_certificate():
     # a Laurent kernel that drifts in (val, unit, prec) fails here
     outputs = hashlib.sha256()
     while done < 50:
-        trunc = 24
-        co = [base.zero] * (trunc + 1)
-        co[3] = base.one
-        v = rng.choice([0, 0, 0, 1, 2])
-        co[4] = base.t_power(v, 1 + rng.randrange(2))
-        for idx in (5, 6, 7, 8, 9):
-            if rng.random() < 0.5:
-                digits = [rng.randrange(3) for _ in range(rng.randrange(1, 3))]
-                digits[0] = rng.randrange(1, 3) if rng.random() < 0.8 else \
-                    digits[0]
-                if any(digits):
-                    while digits and digits[0] == 0:
-                        digits.pop(0)
-                    if digits:
-                        co[idx] = base.make(rng.randrange(0, 3), digits)
-        f = Germ1D(base, Series(base, co, trunc))
+        f, v = growth_germ(base, rng)
         pr = profile(f)
         assert (pr.m, pr.e, pr.r[0]) == (0, 1, 1)
         wit = conjugacy_to_truncation(f, order=order)

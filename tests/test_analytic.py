@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from germ.fields import field_create
 from germ.invariants import InvariantProfile, profile
 from germ.normalizer import ConjugacyWitness, solve_prescribed
 from germ.series import Germ1D, Series
-from germ_testutil import laurent_lift_germ
+from germ_testutil import laurent_lift_germ, r0_two_germ
 
 F3 = field_create(3, 1)
 L = LaurentDomain(F3, prec=32)
@@ -155,6 +156,53 @@ def test_check_growth_negative_control():
     assert not rep.ok and rep.violations[0][0] == 5
 
 
+def _check_growth_by_fractions(witness, cert):
+    """``check_growth`` as the Fraction formula: W * c_n from the defining
+    recurrences for each n, and the ratio -val / (W c_n) as a Fraction."""
+    violations, max_ratio = [], Fraction(0)
+    for n in range(1, witness.phi.trunc + 1):
+        val = witness.phi.coeffs[n].val
+        if val == math.inf:
+            continue
+        need = cert.scale * cert.c_n_recursive(n)
+        max_ratio = max(max_ratio, Fraction(-val) / need)
+        if -val > need:
+            violations.append((n, val, need))
+    return (not violations, witness.phi.trunc, violations, max_ratio,
+            cert.linear_bound())
+
+
+def test_check_growth_matches_fraction_formula():
+    # seeded certificates over p = 2..7, -val(phi_n) drawn at, below and
+    # far below W c_n, exact zeros between, and in half the cases one
+    # coefficient doctored one past the bound: the negative control, which
+    # must be reported the same way
+    rng = random.Random(608)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5, 7])
+        cert = certificate(
+            InvariantProfile(p, rng.randrange(3), p, 1,
+                             (rng.randrange(1, 7), 0)),
+            [L.t_power(-rng.randrange(13))], rng.randrange(6))
+        trunc = rng.randrange(1, 300)
+        bounds = [math.floor(cert.scale * cert.c_n_recursive(n))
+                  for n in range(trunc + 1)]
+        coeffs = [L.one]
+        for n in range(1, trunc + 1):
+            assert cert.c_n_closed(n) == cert.c_n_recursive(n)
+            slack = rng.choice([None, 0, 0, 0, 1, 3, 1000])
+            coeffs.append(L.zero if slack is None else
+                          L.t_power(slack - bounds[n]))
+        bad = rng.choice([None, rng.randrange(1, trunc + 1)])
+        if bad is not None:
+            coeffs[bad] = L.t_power(-bounds[bad] - 1)
+        wit = ConjugacyWitness(Series(L, coeffs, trunc), L.one, trunc, [])
+        rep = check_growth(wit, cert)
+        assert (rep.ok, rep.checked, rep.violations, rep.max_ratio,
+                rep.bound) == _check_growth_by_fractions(wit, cert)
+        assert rep.ok == (bad is None)
+
+
 def test_multislot_equation_surfaces_unsolvable():
     # r_0 = 2 over p = 3 puts two Frobenius powers of the unknown into the
     # boundary fiber equation; over the imperfect Laurent ring this is
@@ -175,17 +223,7 @@ def test_r0_two_witnesses_pinned():
     outputs = hashlib.sha256()
     solved = 0
     for _ in range(40):
-        dom = LaurentDomain(F3, prec=24)
-        co = [dom.zero] * 25
-        co[3] = dom.one
-        co[5] = dom.make(0, [2] + [rng.randrange(3)
-                                   for _ in range(rng.randrange(3))])
-        for idx in range(6, 11):
-            if rng.random() < 0.6:
-                digits = [rng.randrange(1, 3)] + \
-                    [rng.randrange(3) for _ in range(rng.randrange(3))]
-                co[idx] = dom.make(rng.randrange(3), digits)
-        f = Germ1D(dom, Series(dom, co, 24))
+        f = r0_two_germ(LaurentDomain(F3, prec=24), rng)
         assert profile(f).r[0] == 2
         try:
             wit = conjugacy_to_truncation(f, order=60)

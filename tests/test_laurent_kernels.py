@@ -17,10 +17,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from germ.analytic import LaurentDomain, LaurentScalar  # noqa: E402
+from germ.analytic import (LaurentDomain, LaurentScalar,  # noqa: E402
+                           conjugacy_to_truncation)
 from germ.fields import field_create  # noqa: E402
 from germ.series import Series  # noqa: E402
-from germ_testutil import (laurent_add_reference,  # noqa: E402
+from germ_testutil import (growth_germ, laurent_add_reference,  # noqa: E402
                            laurent_conv_reference, laurent_dot_reference,
                            laurent_lift_series, laurent_mk_reference,
                            laurent_mul_reference)
@@ -261,6 +262,33 @@ def test_slots_at_the_packed_bound():
                 [_triple(z) for z in want]
 
 
+def test_conv_and_dot_with_zeros_at_either_end():
+    # an exact zero or a zero to precision as the first, middle or last
+    # term of either factor: exact zeros are skipped wherever they stand,
+    # a zero to precision is a term like any other
+    for dom in KERNEL_DOMAINS:
+        top = dom.base.q - 1
+        plain = [laurent_mk_reference(dom, val, digits, prec)
+                 for val, digits, prec in [(0, [1, top], None),
+                                           (-1, [top] * dom.prec, 3),
+                                           (2, [top, 0, 1], None)]]
+        vanishing = laurent_mk_reference(dom, 1, [], 2)
+        for zero in (dom.zero, vanishing):
+            for side in range(2):
+                for pos in range(3):
+                    a, b = list(plain), list(plain[::-1])
+                    (a, b)[side][pos] = zero
+                    a, b = ([_in_domain(dom, x) for x in v] for v in (a, b))
+                    want = laurent_conv_reference(dom, a, b, 4,
+                                                  laurent_add_reference,
+                                                  laurent_mul_reference)
+                    assert [_triple(x) for x in dom.conv(a, b, 4)] == \
+                        [_triple(x) for x in want]
+                    pairs = list(zip(a, b))
+                    assert _triple(dom.dot(pairs)) == \
+                        _triple(_reference_dot(dom, pairs))
+
+
 def test_packed_bound_splits_the_kernel_domains():
     # both sides of (p-1) + prec*(p-1)**2 <= 255 are among KERNEL_DOMAINS
     packed = {(dom.p, dom.base.k, dom.prec) for dom in KERNEL_DOMAINS
@@ -381,3 +409,23 @@ def test_results_agree_across_caps(operands):
         got, want = op(dom), op(wide)
         assert len(got) == len(want)
         assert all(_agrees(x, y) for x, y in zip(got, want)), (got, want)
+
+
+# criterion 08's germs solved at two caps: F_3((t)) at 16 and 63, both
+# packed (63 is the last packed cap), and at 48 and 96, packed against
+# unpacked; F_9((t)), never packed, at 12 and 24
+WHOLE_GERM_CAPS = [((3, 1), 16, 63), ((3, 1), 48, 96), ((3, 2), 12, 24)]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(WHOLE_GERM_CAPS), st.integers(0, 2 ** 32))
+def test_whole_germs_agree_across_caps(caps, seed):
+    # every witness coefficient solved at the lower cap agrees with the
+    # higher cap's on each digit it claims, and an exact one everywhere
+    (p, k), cap, wide = caps
+    base = field_create(p, k)
+    lo, hi = (conjugacy_to_truncation(
+        growth_germ(LaurentDomain(base, c), random.Random(seed))[0],
+        order=60).phi.coeffs for c in (cap, wide))
+    assert all(_agrees(x, y) for x, y in zip(lo, hi)), \
+        [n for n, (x, y) in enumerate(zip(lo, hi)) if not _agrees(x, y)]

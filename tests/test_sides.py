@@ -1,11 +1,14 @@
-"""The engine's side kernels: the block and relaxed kernels of ``Field``
-against the ordered kernels, read for read.
+"""The engine's side kernels, read for read: the block and relaxed kernels
+of ``Field`` against the ordered kernels, and the ordered kernels, which
+pull each sum as one ``dot``, against the push reference of
+``germ_testutil`` over F_q((t)).
 
-Over a field the two sum the same terms in another grouping, so every
-value the engine reads must be the same: the left side before and after
-each phi is fixed, the coefficient of the unknown, and every chain
-coefficient, including those read past the frontier with the unknown as
-zero.
+Over a field the block and relaxed kernels sum the same terms in another
+grouping; the pull adds the same terms in the same order as the push.  So
+every value the engine reads must be the same, over F_q((t)) in (val,
+unit, prec): the left side before and after each phi is fixed, the
+coefficient of the unknown, and every chain coefficient, including those
+read past the frontier with the unknown as zero.
 """
 
 import random
@@ -16,19 +19,28 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from germ.analytic import LaurentDomain  # noqa: E402
+from germ.analytic import (LaurentDomain, LaurentScalar,  # noqa: E402
+                           truncation_target)
 from germ.errors import GermError  # noqa: E402
 from germ.fields import Field, NeedExtension, field_create  # noqa: E402
 from germ.invariants import profile  # noqa: E402
 from germ.normalizer import (_Engine, min_trunc, normal_form,  # noqa: E402
                              solve_prescribed)
 from germ.sides import OrderedLeft, OrderedRight  # noqa: E402
-from germ_testutil import (laurent_lift_series, make_germ,  # noqa: E402
-                           ordered_left_side, ordered_right_side)
+from germ_testutil import (PushLeft, PushRight, growth_germ,  # noqa: E402
+                           laurent_lift_series, make_germ, ordered_left_side,
+                           ordered_right_side, r0_two_germ)
 
 # the packed table fields, F_{2^8} with 8-digit codes, and a table-free
 # field whose engine vectors are lists
 SIDE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 8), (3, 11)]
+
+
+def _key(x):
+    """A Laurent scalar as its (val, unit, prec), inside tuples too."""
+    if isinstance(x, LaurentScalar):
+        return x.val, tuple(x.unit), x.prec
+    return tuple(map(_key, x)) if isinstance(x, (tuple, list)) else x
 
 
 class _Recorded:
@@ -43,24 +55,27 @@ class _Recorded:
 
         def call(*args):
             out = fn(*args)
-            self.log.append((name, args, out))
+            self.log.append((name, _key(args), _key(out)))
             return out
         return call
 
 
-def _run(f, trunc, prescribed, ordered, extra):
-    """The log of every side-kernel call of one solve, and how it ended.
-    After each phi, ``extra`` more degrees are read ahead of the frontier,
-    with the coefficients of fixed and unfixed phi's there."""
+def _run(f, trunc, target_len, kernels, extra):
+    """The log of every side-kernel call of one solve, and how it ended:
+    onto the first ``target_len`` coefficients of the unit when that is
+    not None, on the domain's own side kernels or on the (left, right)
+    classes ``kernels``.  After each phi, ``extra`` more degrees are read
+    ahead of the frontier, with the coefficients of fixed and unfixed
+    phi's there."""
     field = f.dom
     prof = profile(f)
     g, _ = f.split()
     unit = g.coeffs[g.ord():]
-    target = unit[:2] if prescribed else None
+    target = None if target_len is None else unit[:target_len]
     eng = _Engine(field, prof, unit, trunc - 1, target_unit=target)
-    if ordered:
-        eng.left = OrderedLeft(field, eng.eps, eng.d, eng.n_hi)
-        eng.right = OrderedRight(field, eng.n_hi, eng.supp)
+    if kernels:
+        eng.left = kernels[0](field, eng.eps, eng.d, eng.n_hi)
+        eng.right = kernels[1](field, eng.n_hi, eng.supp)
     log = []
     eng.left, eng.right = _Recorded(eng.left, log), _Recorded(eng.right, log)
     assign = eng._assign_phi
@@ -76,7 +91,7 @@ def _run(f, trunc, prescribed, ordered, extra):
     eng._assign_phi = assign_and_look_ahead
     try:
         eng.solve()
-        end = eng.phis
+        end = _key(eng.phis)
     except (GermError, NeedExtension) as exc:
         end = type(exc).__name__
     return log, end
@@ -103,8 +118,30 @@ def engine_germs(draw):
 @given(engine_germs(), st.booleans(), st.integers(0, 3))
 def test_fast_sides_read_as_the_ordered_ones(case, prescribed, extra):
     f, trunc = case
-    fast = _run(f, trunc, prescribed, False, extra)
-    assert fast == _run(f, trunc, prescribed, True, extra)
+    target_len = 2 if prescribed else None
+    fast = _run(f, trunc, target_len, None, extra)
+    assert fast == _run(f, trunc, target_len, (OrderedLeft, OrderedRight),
+                        extra)
+
+
+# F_3((t)) on both sides of Field.packed_mod (cap 48 packs, 64 does not)
+# and F_9((t)), which never packs
+PUSH_DOMAINS = [(3, 1, 48), (3, 1, 64), (3, 2, 20)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PUSH_DOMAINS), st.booleans(), st.integers(0, 2 ** 32),
+       st.integers(0, 3))
+def test_ordered_sides_pull_as_the_push_reference(spec, r0_two, seed, extra):
+    # criterion 08's germs (r_0 = 1) read psi alone, r_0 = 2 germs psi^2
+    # too, whose binomial update reads psi before phi_j is written there
+    p, k, prec = spec
+    dom = LaurentDomain(field_create(p, k), prec)
+    rng = random.Random(seed)
+    f = r0_two_germ(dom, rng) if r0_two else growth_germ(dom, rng)[0]
+    target_len = truncation_target(profile(f)) - 3 + 1     # d = 3, m = 0
+    pull = _run(f, 40, target_len, (OrderedLeft, OrderedRight), extra)
+    assert pull == _run(f, 40, target_len, (PushLeft, PushRight), extra)
 
 
 def test_normal_form_order_1024_same_on_ordered_sides(monkeypatch):
