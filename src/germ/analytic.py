@@ -98,8 +98,10 @@ class LaurentDomain:
             dom._empty = unit()
             dom.zero = LaurentScalar(_INF, dom._empty, None)
             dom.one = LaurentScalar(0, unit((base_field.one,)), None)
-            # conv and dot accumulate packed where the field packs acc + x*y
-            # over units of prec digits
+            dom.minus_one = LaurentScalar(
+                0, unit((base_field.neg(base_field.one),)), None)
+            # the accumulate loop runs packed where the field packs
+            # acc + x*y over units of prec digits
             dom._packed_mod = base_field.packed_mod(prec)
         return dom
 
@@ -166,63 +168,20 @@ class LaurentDomain:
         digits vanish."""
         return not x.unit
 
-    # -- ring ops ---------------------------------------------------------------
+    # -- ring ops: cells of the one accumulate loop ---------------------------
 
     def add(self, x, y):
-        xp, yp = x.prec, y.prec
-        if xp is None and not x.unit:
-            return y
-        if yp is None and not y.unit:
-            return x
-        lo, hi = (x, y) if x.val <= y.val else (y, x)
-        v = lo.val
-        if xp is None and yp is None:
-            ln = lo.val + len(lo.unit)
-            if hi.val + len(hi.unit) > ln:
-                ln = hi.val + len(hi.unit)
-            ln -= v
-            prec = None
-        else:
-            end = _INF if xp is None else x.val + xp
-            if yp is not None and y.val + yp < end:
-                end = y.val + yp
-            ln = prec = end - v
-            if ln <= 0:
-                return LaurentScalar(end, self._empty, 0)
-            if ln > self.prec:
-                ln = self.prec
-        return self.make(v, self.base.add_shifted(lo.unit, hi.unit,
-                                                 hi.val - v, ln), prec)
+        one = self.one
+        return self._accumulate(((x, one), (y, one)))[0]
 
     def neg(self, x):
-        if not x.unit:
-            return x
-        neg = self.base.neg
-        return LaurentScalar(x.val, self._unit(map(neg, x.unit)), x.prec)
+        return self._accumulate(((x, self.minus_one),))[0]
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        return self._accumulate(((x, self.one), (y, self.minus_one)))[0]
 
     def mul(self, x, y):
-        xu, yu, xp, yp = x.unit, y.unit, x.prec, y.prec
-        if not xu or not yu:
-            if xp is None and not xu or yp is None and not yu:
-                return self.zero
-            return LaurentScalar(x.val + y.val, self._empty, 0)  # O(t^v)
-        cap = self.prec
-        conv_len = len(xu) + len(yu) - 1
-        if xp is None and yp is None:
-            # the leading digit of a product never cancels, so capping the
-            # exact convolution at the working precision is safe
-            prec = None if conv_len <= cap else cap
-        else:
-            prec = cap
-            if xp is not None and xp < prec:
-                prec = xp
-            if yp is not None and yp < prec:
-                prec = yp
-        n = conv_len if prec is None or conv_len <= prec else prec
-        return self.make(x.val + y.val, self.base.conv(xu, yu, n - 1), prec)
+        return self._accumulate(((x, y),))[0]
 
     def conv(self, a, b, n):
         """The first n+1 coefficients of the product of two scalar
@@ -239,74 +198,89 @@ class LaurentDomain:
                     if i + j > n:
                         break
                     out[i + j].append((x, y))
-        return self._accumulate(out)
+        return self._accumulate(*out)
 
     def dot(self, pairs):
         """The sum of x*y over the (x, y) pairs, added left to right with
-        exact zeros skipped: each partial sum is add(acc, mul(x, y))."""
-        return self._accumulate([pairs])[0]
+        exact zeros skipped: one cell of :meth:`_accumulate`, so each
+        partial sum is add(acc, mul(x, y))."""
+        return self._accumulate(pairs)[0]
 
-    def _accumulate(self, cells):
+    def _accumulate(self, *cells):
         """For each cell of (x, y) scalar pairs, the sum of x*y left to
-        right with exact zeros skipped, each partial sum exactly
-        add(acc, mul(x, y)).
+        right with exact zeros skipped, each partial sum add(acc, mul(x, y)),
+        as a list: the one statement of the precision rules, which ``mul``,
+        ``add``, ``neg``, ``sub``, ``add_shifted``, ``conv`` and ``dot``
+        run as cells.
 
-        Over a packed domain one loop reads each pair's val, unit and prec:
-        a term is one int product of the units as little-endian ints,
-        masked to its prec as ``mul`` caps it, added unreduced to the
+        A product is trusted to the lesser of its factors' precisions and
+        the cap, or is exact while it fits the cap; a sum to the lesser end
+        of its terms, or is exact if both are.  The exact zero plus a term
+        is the term, and x*1 is x as ``make`` left it, so a leading x*1 is
+        taken as it stands.  The digits branch twice on the back-end.  Over
+        a packed domain a product is one int product of the units as
+        little-endian ints, masked to its prec, added unreduced to the
         reduced sum so far: no byte slot carries, so one translate reduces
-        both.  The (val, prec) rules are ``mul``'s then ``add``'s; ``_mk``
-        runs only off its fast path (a cancelled leading digit, or the
-        cap).  Elsewhere each term is add(acc, mul(x, y)) as it stands,
-        which leaves an exact zero out as well.
+        both, and ``make`` runs only off that fast path (a cancelled
+        leading digit, or the cap).  Elsewhere a product is ``Field.conv``
+        of the units and a sum ``Field.add_shifted``, the first one to an
+        empty exact sum, each normalized by ``make``.
         """
         out = []
         cap, mod, frm = self.prec, self._packed_mod, int.from_bytes
-        if mod is None:
-            add, mul = self.add, self.mul
-            for terms in cells:
-                acc = self.zero
-                for x, y in terms:
-                    acc = add(acc, mul(x, y))
-                out.append(acc)
-            return out
+        conv, add_shifted, empty = self.base.conv, self.base.add_shifted, \
+            self._empty
+        one = self.one
         for terms in cells:
             acc = None                              # exact zero
             for x, y in terms:
-                xu, yu, xp, yp = x.unit, y.unit, x.prec, y.prec
+                xu, xp = x.unit, x.prec
+                if acc is None and y is one:        # 0 + x*1 is x as made
+                    if xu or xp is not None:
+                        acc = x.val, xu, xp
+                    continue
+                yu, yp = y.unit, y.prec
                 if not xu or not yu:
                     if xp is None and not xu or yp is None and not yu:
                         continue                    # an exact zero
-                    pi = pl = pp = 0                # O(t^v)
+                    n = pl = pp = 0                 # O(t^v)
                 else:
-                    pi = frm(xu, "little") * frm(yu, "little")
-                    pl = len(xu) + len(yu) - 1
+                    pl = n = len(xu) + len(yu) - 1
                     if xp is None and yp is None:
-                        pp = None if pl <= cap else cap
+                        # the leading digit of a product never cancels, so
+                        # capping the exact product at the cap is safe
+                        pp = None
+                        if n > cap:
+                            pp = pl = cap
                     else:
                         pp = cap
                         if xp is not None and xp < pp:
                             pp = xp
                         if yp is not None and yp < pp:
                             pp = yp
-                    if pp is not None and pl > pp:
-                        pi &= (1 << 8 * pp) - 1
-                        pl = pp
+                        if n > pp:
+                            pl = pp
                 v = x.val + y.val
-                if acc is None:
-                    acc = v, pi.to_bytes(pl, "little").translate(mod) \
-                        .rstrip(b"\0"), pp
-                    continue
+                if mod is None:
+                    pu = conv(xu, yu, pl - 1)
+                    if acc is None:                 # an empty exact sum
+                        acc = v, empty, None
+                else:
+                    pu = frm(xu, "little") * frm(yu, "little")
+                    if pl < n:
+                        pu &= (1 << 8 * pl) - 1
+                    if acc is None:                 # 0 + x*y is x*y
+                        acc = v, pu.to_bytes(pl, "little").translate(mod) \
+                            .rstrip(b"\0"), pp
+                        continue
                 av, au, ap = acc
-                ai, al = frm(au, "little"), len(au)
-                # s spans top digits from t^lo; an exact sum keeps them all
+                al = len(au)
+                # the sum spans top digits from t^lo; an exact one keeps all
                 if av <= v:
                     lo, off = av, v - av
-                    s = ai + (pi << 8 * off)
                     top = off + pl if off + pl > al else al
                 else:
                     lo, off = v, av - v
-                    s = pi + (ai << 8 * off)
                     top = off + al if off + al > pl else pl
                 if ap is None and pp is None:
                     ln, prec = top, None
@@ -317,32 +291,41 @@ class LaurentDomain:
                         end = v + pp
                     ln = prec = end - lo
                     if ln <= 0:
-                        acc = end, self._empty, 0
+                        acc = end, empty, 0
                         continue
                     if ln > cap:
                         ln = cap
                     fast = prec <= cap
-                digits = s.to_bytes(top if top > ln else ln, "little")[:ln] \
-                    .translate(mod)
-                if fast and digits[0]:
-                    acc = lo, digits.rstrip(b"\0"), prec
+                if mod is None:
+                    digits = add_shifted(au, pu, off, ln) if av <= v else \
+                        add_shifted(pu, au, off, ln)
                 else:
-                    acc = self.make(lo, digits, prec)
-                    acc = None if self.is_zero(acc) else \
-                        (acc.val, acc.unit, acc.prec)
+                    ai = frm(au, "little")
+                    s = ai + (pu << 8 * off) if av <= v else \
+                        pu + (ai << 8 * off)
+                    digits = s.to_bytes(top if top > ln else ln, "little")[
+                        :ln].translate(mod)
+                    if fast and digits[0]:
+                        acc = lo, digits.rstrip(b"\0"), prec
+                        continue
+                acc = self.make(lo, digits, prec)
+                acc = None if self.is_zero(acc) else \
+                    (acc.val, acc.unit, acc.prec)
             out.append(self.zero if acc is None else LaurentScalar(*acc))
         return out
 
     def add_shifted(self, lo, hi, off, n):
         """The first n coefficients of lo + x**off * hi, for scalar
-        sequences, as a new list: one ``add`` per overlapping coefficient,
-        so an exact zero in hi leaves lo's coefficient as it is."""
+        sequences, as a new list: one :meth:`_accumulate` of one ``add``
+        cell per overlapping coefficient, so an exact zero in hi leaves
+        lo's coefficient as it is."""
         out = list(lo[:n])
         out += [self.zero] * (n - len(out))
         top = min(len(hi), n - off)
         if top > 0:
-            out[off: off + top] = map(self.add, out[off: off + top],
-                                      hi[:top])
+            one = self.one
+            out[off: off + top] = self._accumulate(*[
+                ((x, one), (y, one)) for x, y in zip(out[off: off + top], hi)])
         return out
 
     # the type of the vectors the kernels here give back
@@ -511,12 +494,6 @@ class GrowthCertificate:
     def k_h(self, h):
         return self.p ** h * (self.s0 * (self.p - 1) - self.r0)
 
-    def t_h(self, h):
-        t = Fraction(self.s0)
-        for _ in range(h):
-            t = self.p * t + self.eta
-        return t
-
     def delta_h(self, h):
         return Fraction(self.c - 1 - self.eta, self.k_h(h))
 
@@ -525,13 +502,6 @@ class GrowthCertificate:
         while self.s_h(h + 1) <= n:
             h += 1
         return h, n - self.s_h(h)
-
-    def c_n_recursive(self, n):
-        """t_h + k (c - delta_h) from the defining recurrences."""
-        if n <= self.s0:
-            return Fraction(n)
-        h, k = self._locate(n)
-        return self.t_h(h) + k * (self.c - self.delta_h(h))
 
     def c_n_closed(self, n):
         """s_0 + c (n - s_0) - k delta_h: the closed form."""

@@ -90,9 +90,6 @@ class NormalForm:
     def germ(self, trunc):
         return target_germ(self.dom, self.m, self.d, self.a, trunc)
 
-    def a_dict(self):
-        return {n: c for n, c in enumerate(self.a) if not self.dom.is_zero(c)}
-
 
 @dataclass
 class ConjugacyWitness:

@@ -107,10 +107,6 @@ class Series:
     def identity(cls, dom, trunc):
         return cls.monomial(dom, dom.one, 1, trunc)
 
-    @classmethod
-    def from_ints(cls, dom, ints, trunc=None):
-        return cls(dom, [dom.from_int(n) for n in ints], trunc)
-
     def copy(self):
         return Series(self.dom, list(self.coeffs), self.trunc)
 

@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import math
+from fractions import Fraction
 
 from germ.analytic import LaurentDomain, LaurentScalar
 from germ.errors import UnassignedDependency, ValidationError
@@ -265,6 +266,19 @@ def laurent_dot_reference(dom, pairs, add=LaurentDomain.add,
     return acc
 
 
+def laurent_accumulate_reference(dom, *cells):
+    """Reference for ``LaurentDomain._accumulate``: for each cell, the sum
+    of x*y left to right, one :func:`laurent_add_reference` of one
+    :func:`laurent_mul_reference` per pair, exact zeros skipped; units of
+    the domain's type, as the loop gives them."""
+    out = []
+    for terms in cells:
+        acc = laurent_dot_reference(dom, terms, laurent_add_reference,
+                                    laurent_mul_reference)
+        out.append(LaurentScalar(acc.val, dom._unit(acc.unit), acc.prec))
+    return out
+
+
 def laurent_conv_reference(dom, a, b, n, add=LaurentDomain.add,
                            mul=LaurentDomain.mul):
     """Reference for ``LaurentDomain.conv``, by schoolbook: exact zeros are
@@ -400,6 +414,7 @@ _REFERENCE_KERNELS = {
     (_FoldProduct, "pow"): schoolbook_fold_pow,
     (LaurentDomain, "conv"): laurent_conv_reference,
     (LaurentDomain, "dot"): laurent_dot_reference,
+    (LaurentDomain, "_accumulate"): laurent_accumulate_reference,
 }
 
 
@@ -415,8 +430,13 @@ def reference_kernels():
     ``Field.additive_roots`` as a fresh elimination for every right side,
     with no kept map, ``_FoldProduct.pow`` (table builds, inverses and
     powers of table-free fields, Ben-Or's test) by square and multiply
-    over schoolbook products, and ``LaurentDomain.conv`` and ``dot`` as one
-    ``add`` of one ``mul`` per term.
+    over schoolbook products, ``LaurentDomain.conv`` and ``dot`` as one
+    ``add`` of one ``mul`` per term, and ``LaurentDomain._accumulate``, the
+    one loop that ``add``, ``mul``, ``neg``, ``sub`` and ``add_shifted``
+    run as cells, as one :func:`laurent_add_reference` of one
+    :func:`laurent_mul_reference` per term.  So ``conv`` keeps the push
+    schoolbook as the check of the pull grouping, and every Laurent
+    scalar op runs on the per-digit references.
 
     ``Field.add`` keeps its other rules (xor, (a + b) % p and the
     respread tables): ``schoolbook_conv`` calls it once per term, so a
@@ -446,6 +466,37 @@ def reference_kernels():
     finally:
         for (cls, name), kernel in saved.items():
             setattr(cls, name, kernel)
+
+
+def series_from_ints(dom, ints, trunc=None):
+    """A series whose coefficients are the ints ``dom.from_int`` reads."""
+    return Series(dom, [dom.from_int(n) for n in ints], trunc)
+
+
+def a_dict(nf):
+    """A normal form's nonzero coefficients of a, keyed by index."""
+    return {n: c for n, c in enumerate(nf.a) if not nf.dom.is_zero(c)}
+
+
+def t_h(cert, h):
+    """t_h of a growth certificate by its recurrence: t_0 = s_0 and
+    t_(h+1) = p t_h + eta."""
+    t = Fraction(cert.s0)
+    for _ in range(h):
+        t = cert.p * t + cert.eta
+    return t
+
+
+def c_n_recursive(cert, n):
+    """Reference for ``GrowthCertificate.c_n_closed``: n up to s_0, then
+    t_h + k (c - delta_h) for n = s_h + k on segment h, from the defining
+    recurrences."""
+    if n <= cert.s0:
+        return Fraction(n)
+    h = 0
+    while cert.s_h(h + 1) <= n:
+        h += 1
+    return t_h(cert, h) + (n - cert.s_h(h)) * (cert.c - cert.delta_h(h))
 
 
 def subs_power(s, r):

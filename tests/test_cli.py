@@ -13,14 +13,14 @@ from germ.cli import main
 from germ.fields import field_create
 from germ.multidim import MultiGerm, MultiSeries
 from germ.series import Germ1D, Series
-from germ_testutil import laurent_germ_to_dict
+from germ_testutil import laurent_germ_to_dict, series_from_ints
 
 F3 = field_create(3, 1)
 
 
 @pytest.fixture
 def germ_file(tmp_path):
-    f = Germ1D(F3, Series.from_ints(F3, [0, 0, 0, 1, 1], 40))
+    f = Germ1D(F3, series_from_ints(F3, [0, 0, 0, 1, 1], 40))
     path = tmp_path / "f.json"
     path.write_text(jsonio.dump(jsonio.germ_to_dict(f)))
     return str(path)
@@ -35,7 +35,7 @@ def test_invariants_command(germ_file, capsys):
 
 def test_invariants_fixture_xp_1px(tmp_path, capsys):
     # x^p(1+x) over F_3
-    f = Germ1D(F3, Series.from_ints(F3, [0, 0, 0, 1, 1], 30))
+    f = Germ1D(F3, series_from_ints(F3, [0, 0, 0, 1, 1], 30))
     path = tmp_path / "g.json"
     path.write_text(jsonio.dump(jsonio.germ_to_dict(f)))
     assert main(["invariants", str(path)]) == 0
@@ -97,7 +97,7 @@ def test_conjcheck_exit_codes(germ_file, tmp_path, capsys):
     phi_path.write_text(json.dumps(ident))
     assert main(["conjcheck", germ_file, germ_file, str(phi_path),
                  "--order", "24"]) == 0
-    other = Germ1D(F3, Series.from_ints(F3, [0, 0, 0, 1], 40))
+    other = Germ1D(F3, series_from_ints(F3, [0, 0, 0, 1], 40))
     gpath = tmp_path / "g.json"
     gpath.write_text(jsonio.dump(jsonio.germ_to_dict(other)))
     # invariants differ, so no Phi can conjugate them: disagreement -> exit 2

@@ -10,7 +10,8 @@ from germ.invariants import (InvariantProfile, JTable, choice_bound,
                              iterate_germ, iterate_profile, jays, n_prime,
                              preceq_key, profile, stable_threshold)
 from germ.series import Germ1D, Series
-from germ_testutil import candidate_fiber, make_germ, random_profile
+from germ_testutil import (candidate_fiber, make_germ, random_profile,
+                           series_from_ints)
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -19,7 +20,7 @@ PAPER_PROFILE = InvariantProfile(3, 0, 18, 2, (19, 12, 0))
 
 
 def germ3(coeffs, trunc=40):
-    return Germ1D(F3, Series.from_ints(F3, coeffs, trunc))
+    return Germ1D(F3, series_from_ints(F3, coeffs, trunc))
 
 
 def test_profile_examples():

@@ -1,11 +1,13 @@
-"""LaurentDomain's add, mul, normalization, conv and dot against per-digit
-references built from scalar field ops only, as hypothesis properties.
+"""LaurentDomain's add, neg, sub, mul, normalization, conv and dot against
+per-digit references built from scalar field ops only, as hypothesis
+properties.
 
-Each op must agree exactly in (val, unit, prec): the digit work runs in the
-packed Field kernels and the packed accumulate step, and the precision each
-output carries is part of every witness the growth certificate reads.
-Units compare as tuples: a domain stores them as vectors of its base field's
-type, bytes over at most 256 elements and lists above.
+Each op must agree exactly in (val, unit, prec): every one is a cell of
+the one accumulate loop, whose digit work runs packed or in the Field
+kernels, and the precision each output carries is part of every witness
+the growth certificate reads.  Units compare as tuples: a domain stores
+them as vectors of its base field's type, bytes over at most 256 elements
+and lists above.
 """
 
 import math
@@ -24,7 +26,7 @@ from germ.series import Series  # noqa: E402
 from germ_testutil import (growth_germ, laurent_add_reference,  # noqa: E402
                            laurent_conv_reference, laurent_dot_reference,
                            laurent_lift_series, laurent_mk_reference,
-                           laurent_mul_reference)
+                           laurent_mul_reference, schoolbook_field_neg)
 
 
 # F_2, F_4: packed xor; F_3, F_5, F_7: packed add and translate, and F_5 and
@@ -171,6 +173,23 @@ def test_laurent_mul_matches_reference(pair):
     dom, x, y = pair
     assert _triple(dom.mul(x, y)) == _triple(laurent_mul_reference(dom, x, y))
     assert _triple(dom.mul(y, x)) == _triple(laurent_mul_reference(dom, y, x))
+
+
+def _digitwise_neg(dom, y):
+    return LaurentScalar(y.val, tuple(schoolbook_field_neg(dom.base, d)
+                                      for d in y.unit), y.prec)
+
+
+@kernel_laws
+@given(laurent_pairs())
+def test_laurent_neg_and_sub_match_reference(pair):
+    # neg is the cell y*(-1) and sub the cell x*1 + y*(-1); y and -y both,
+    # so the drawn cancellations cancel in sub too
+    dom, x, y = pair
+    for z in (y, _in_domain(dom, _digitwise_neg(dom, y))):
+        assert _triple(dom.neg(z)) == _triple(_digitwise_neg(dom, z))
+        assert _triple(dom.sub(x, z)) == _triple(laurent_add_reference(
+            dom, x, _digitwise_neg(dom, z)))
 
 
 @kernel_laws

@@ -12,6 +12,7 @@ from germ.multidim import (MultiGerm, MultiSeries, diagonal_scaling,
                            monomial_conjugacy, multi_unit_power)
 from germ.normalizer import bottcher_product
 from germ.series import Germ1D, Series, binomial_pow
+from germ_testutil import series_from_ints
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -81,7 +82,7 @@ def test_multi_unit_power_examples():
 def test_pow_frac_matches_univariate():
     # one binomial loop serves both series classes
     v = binomial_pow(MultiSeries(F3, 1, 10, {(0,): 1, (1,): 1}), 1, 2)
-    vu = binomial_pow(Series.from_ints(F3, [1, 1], 10), 1, 2)
+    vu = binomial_pow(series_from_ints(F3, [1, 1], 10), 1, 2)
     assert all(v.coeff((n,)) == vu.coeff(n) for n in range(11))
 
 

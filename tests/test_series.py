@@ -9,7 +9,7 @@ from germ.errors import (CompositionWithUnit, IncompatibleFields,
 from germ.fields import field_create
 from germ.series import (Germ1D, Series, binomial_pow, nu_p, revert,
                          split_frobenius)
-from germ_testutil import schoolbook_conv, subs_power
+from germ_testutil import schoolbook_conv, series_from_ints, subs_power
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -32,7 +32,7 @@ def test_nu_p():
 
 
 def test_ord():
-    s = Series.from_ints(F3, [0, 0, 0, 1, 1], 8)
+    s = series_from_ints(F3, [0, 0, 0, 1, 1], 8)
     assert s.ord() == 3
     assert Series.one(F3, 4).ord() == 0
     with pytest.raises(ZeroToPrecision):
@@ -61,8 +61,8 @@ def test_reciprocal_property():
 
 
 def test_mul_truncation_pessimism():
-    a = Series.from_ints(F3, [1, 1], 3)          # trusted to x^3
-    b = Series.from_ints(F3, [0, 0, 1], 5)       # ord 2, trusted to x^5
+    a = series_from_ints(F3, [1, 1], 3)          # trusted to x^3
+    b = series_from_ints(F3, [0, 0, 1], 5)       # ord 2, trusted to x^5
     c = a * b
     assert c.trunc == min(3 + 2, 5 + 0)
     d = (a + Series.zeros(F3, 2))                # add takes the min
@@ -173,11 +173,11 @@ def test_split_frobenius_examples():
     assert m == 1 and g.coeffs[1] == 1 and g.ord() == 1
     co = [0] * 10
     co[3], co[4] = 1, 1                             # x^p(1+x): m = 0
-    g, m = split_frobenius(Series.from_ints(F3, co, 9))
+    g, m = split_frobenius(series_from_ints(F3, co, 9))
     assert m == 0
     co = [0] * 12
     co[9], co[6] = 1, 1                             # x^(p^2) + x^(2p)
-    g, m = split_frobenius(Series.from_ints(F3, co, 11))
+    g, m = split_frobenius(series_from_ints(F3, co, 11))
     assert m == 1 and [g.coeff(i) for i in range(4)] == [0, 0, 1, 1]
 
 
@@ -258,7 +258,7 @@ def test_revert():
 
 def test_series_over_different_fields_are_refused():
     # F_3 codes read as F_9 codes would be silently wrong; nothing embeds
-    a = Series.from_ints(F3, [0, 0, 1, 1], 8)
+    a = series_from_ints(F3, [0, 0, 1, 1], 8)
     b = Series(F9, [0, 0, F9.from_vec((0, 1)), F9.from_vec((1, 1))], 8)
     with pytest.raises(IncompatibleFields):
         a.mul(b)
@@ -269,8 +269,8 @@ def test_series_over_different_fields_are_refused():
 
 def test_germ_validation():
     with pytest.raises(ValueError):
-        Germ1D(F3, Series.from_ints(F3, [1, 0, 1], 4))  # does not fix 0
+        Germ1D(F3, series_from_ints(F3, [1, 0, 1], 4))  # does not fix 0
     with pytest.raises(ValueError):
-        Germ1D(F3, Series.from_ints(F3, [0, 1], 4))     # not superattracting
+        Germ1D(F3, series_from_ints(F3, [0, 1], 4))     # not superattracting
     with pytest.raises(ZeroToPrecision):
         Germ1D(F3, Series.zeros(F3, 4))
