@@ -37,14 +37,17 @@ class LaurentScalar:
     """val + unit-digit vector + trusted digit count (None = exact).
 
     The unit is a vector of the base field's type (``Field.vector``), so
-    the Field kernels read and return it as it is."""
+    the Field kernels read and return it as it is.  Over a packed domain
+    ``num`` keeps the unit as a little-endian int once the accumulate loop
+    has read it."""
 
-    __slots__ = ("val", "unit", "prec")
+    __slots__ = ("val", "unit", "prec", "num")
 
     def __init__(self, val, unit, prec):
         self.val = val
         self.unit = unit
         self.prec = prec
+        self.num = None
 
     def __repr__(self):
         if self.val is _INF or self.val == _INF:
@@ -187,18 +190,22 @@ class LaurentDomain:
         """The first n+1 coefficients of the product of two scalar
         sequences, as a new list: each output is the :meth:`dot` of its
         terms in increasing index of a, exact zeros skipped, which fixes
-        how precision is tracked; every output's pairs go to one
-        :meth:`_accumulate`."""
+        how precision is tracked; the pairs of every output that has any go
+        to one :meth:`_accumulate`, and the others are the exact zero."""
         ys = [(j, y) for j, y in enumerate(b[: n + 1])
               if y.unit or y.prec is not None]
-        out = [[] for _ in range(n + 1)]
+        cells = [[] for _ in range(n + 1)]
         for i, x in enumerate(a[: n + 1]):
             if x.unit or x.prec is not None:
                 for j, y in ys:
                     if i + j > n:
                         break
-                    out[i + j].append((x, y))
-        return self._accumulate(*out)
+                    cells[i + j].append((x, y))
+        out = [self.zero] * (n + 1)
+        full = [k for k, terms in enumerate(cells) if terms]
+        for k, c in zip(full, self._accumulate(*[cells[k] for k in full])):
+            out[k] = c
+        return out
 
     def dot(self, pairs):
         """The sum of x*y over the (x, y) pairs, added left to right with
@@ -215,103 +222,158 @@ class LaurentDomain:
 
         A product is trusted to the lesser of its factors' precisions and
         the cap, or is exact while it fits the cap; a sum to the lesser end
-        of its terms, or is exact if both are.  The exact zero plus a term
-        is the term, and x*1 is x as ``make`` left it, so a leading x*1 is
-        taken as it stands.  The digits branch twice on the back-end.  Over
-        a packed domain a product is one int product of the units as
-        little-endian ints, masked to its prec, added unreduced to the
-        reduced sum so far: no byte slot carries, so one translate reduces
-        both, and ``make`` runs only off that fast path (a cancelled
-        leading digit, or the cap).  Elsewhere a product is ``Field.conv``
-        of the units and a sum ``Field.add_shifted``, the first one to an
-        empty exact sum, each normalized by ``make``.
+        of its terms, or is exact if both are, and an exact sum whose
+        digits pass the cap is cut there.  Added up term by term, these
+        rules fix each cell's window from (val, len, prec) alone.  While
+        every term is exact the sum is exact, spanning at most the least
+        val to the largest val + len of its terms.  Once a term is inexact
+        the sum ends at E, the least end over its terms: v + min(prec, cap)
+        for a product, an exact one counted as prec = cap, and v for
+        O(t^v).  The result is the exact sum of the products of the stored
+        units, cut to [its leading digit, E): O(t^E) if no digit there is
+        nonzero, and the exact zero if an exact sum cancels.  The sum so
+        far is read only where a rule reads its digits: when an exact sum
+        spans more than the cap, and when a first inexact term starts past
+        the sum's least val and ends past that val + cap, where the true
+        leading digit of the exact sum sets the cut.  There the exact sum
+        is normalized by ``make``, and counts on as one exact term.
+
+        The digits branch twice on the back-end.  Over a packed domain
+        each unit is read as a little-endian int once (kept as the
+        scalar's ``num``) and each product, one int product, is added
+        unreduced at its offset; a translate reduces the sum only when a
+        byte slot could overflow, a product of units of lx and ly digits
+        adding at most min(lx, ly)*(p-1)^2 to a slot.  Elsewhere a product
+        is ``Field.conv`` of the units and a sum ``Field.add_shifted``.
         """
         out = []
         cap, mod, frm = self.prec, self._packed_mod, int.from_bytes
-        conv, add_shifted, empty = self.base.conv, self.base.add_shifted, \
-            self._empty
-        one = self.one
+        conv, add_shifted, make = self.base.conv, self.base.add_shifted, \
+            self.make
+        one, zero, empty = self.one, self.zero, self._empty
+        p1 = self.p - 1
+        sq = p1 * p1
         for terms in cells:
-            acc = None                              # exact zero
+            # the sum's digits start at t^lo (None: no digit yet) and span
+            # top slots: the int s, whose slots hold at most load, or the
+            # vector au; end is E once a term is inexact
+            lo = end = None
             for x, y in terms:
                 xu, xp = x.unit, x.prec
-                if acc is None and y is one:        # 0 + x*1 is x as made
-                    if xu or xp is not None:
-                        acc = x.val, xu, xp
-                    continue
-                yu, yp = y.unit, y.prec
-                if not xu or not yu:
-                    if xp is None and not xu or yp is None and not yu:
-                        continue                    # an exact zero
-                    n = pl = pp = 0                 # O(t^v)
+                if y is one:                # x as made: n <= prec <= cap
+                    if not xu and xp is None:
+                        continue
+                    n, pp = len(xu), xp
                 else:
-                    pl = n = len(xu) + len(yu) - 1
-                    if xp is None and yp is None:
-                        # the leading digit of a product never cancels, so
-                        # capping the exact product at the cap is safe
-                        pp = None
-                        if n > cap:
-                            pp = pl = cap
+                    yu, yp = y.unit, y.prec
+                    if not xu or not yu:
+                        if xp is None and not xu or yp is None and not yu:
+                            continue                # an exact zero
+                        n = pp = 0                  # O(t^v)
                     else:
-                        pp = cap
-                        if xp is not None and xp < pp:
-                            pp = xp
-                        if yp is not None and yp < pp:
-                            pp = yp
-                        if n > pp:
-                            pl = pp
+                        lx, ly = len(xu), len(yu)
+                        n = lx + ly - 1
+                        if xp is None and yp is None:
+                            # the leading digit of a product never cancels,
+                            # so capping the exact product is safe
+                            pp = None if n <= cap else cap
+                        else:
+                            pp = cap
+                            if xp is not None and xp < pp:
+                                pp = xp
+                            if yp is not None and yp < pp:
+                                pp = yp
                 v = x.val + y.val
+                if end is None and lo is not None and (
+                        top > cap or pp is not None and v > lo and
+                        v + pp > lo + cap):
+                    # read the exact sum so far: normalized, cut at the cap
+                    acc = make(lo, au if mod is None else s.to_bytes(
+                        top, "little").translate(mod), None)
+                    if acc.prec is not None:
+                        end = acc.val + cap
+                    if not acc.unit:
+                        lo = None
+                    else:
+                        lo, au, top = acc.val, acc.unit, len(acc.unit)
+                        if mod is not None:
+                            s, load = frm(au, "little"), p1
+                if pp is None:
+                    if end is not None and v + cap < end:
+                        end = v + cap
+                elif end is None:
+                    end = v + pp
+                    if lo is not None and lo + cap < end:
+                        end = lo + cap
+                elif v + pp < end:
+                    end = v + pp
+                if not n or end is not None and v >= end:
+                    continue                # no digit below the end
                 if mod is None:
-                    pu = conv(xu, yu, pl - 1)
-                    if acc is None:                 # an empty exact sum
-                        acc = v, empty, None
+                    if pp is not None and n > pp:
+                        n = pp
+                    pu = xu if y is one else conv(xu, yu, n - 1)
+                    if lo is None:
+                        lo, au, top = v, pu, n
+                    elif v >= lo:
+                        if v - lo + n > top:
+                            top = v - lo + n
+                        au = add_shifted(au, pu, v - lo, top)
+                    else:
+                        top += lo - v
+                        if n > top:
+                            top = n
+                        au = add_shifted(pu, au, lo - v, top)
+                        lo = v
+                    continue
+                xi = x.num
+                if xi is None:
+                    xi = x.num = frm(xu, "little")
+                if y is one:
+                    pi, ld = xi, p1
                 else:
-                    pu = frm(xu, "little") * frm(yu, "little")
-                    if pl < n:
-                        pu &= (1 << 8 * pl) - 1
-                    if acc is None:                 # 0 + x*y is x*y
-                        acc = v, pu.to_bytes(pl, "little").translate(mod) \
-                            .rstrip(b"\0"), pp
-                        continue
-                av, au, ap = acc
-                al = len(au)
-                # the sum spans top digits from t^lo; an exact one keeps all
-                if av <= v:
-                    lo, off = av, v - av
-                    top = off + pl if off + pl > al else al
+                    yi = y.num
+                    if yi is None:
+                        yi = y.num = frm(yu, "little")
+                    pi = xi * yi
+                    ld = (lx if lx < ly else ly) * sq
+                if lo is None:
+                    lo, s, top, load = v, pi, n, ld
+                    continue
+                if load + ld > 255:         # reduce before a slot overflows
+                    s = frm(s.to_bytes(top, "little").translate(mod),
+                            "little")
+                    load = p1
+                load += ld
+                if v >= lo:
+                    s += pi << 8 * (v - lo)
+                    if v - lo + n > top:
+                        top = v - lo + n
                 else:
-                    lo, off = v, av - v
-                    top = off + al if off + al > pl else pl
-                if ap is None and pp is None:
-                    ln, prec = top, None
-                    fast = ln <= cap
-                else:
-                    end = _INF if ap is None else av + ap
-                    if pp is not None and v + pp < end:
-                        end = v + pp
-                    ln = prec = end - lo
-                    if ln <= 0:
-                        acc = end, empty, 0
-                        continue
-                    if ln > cap:
-                        ln = cap
-                    fast = prec <= cap
-                if mod is None:
-                    digits = add_shifted(au, pu, off, ln) if av <= v else \
-                        add_shifted(pu, au, off, ln)
-                else:
-                    ai = frm(au, "little")
-                    s = ai + (pu << 8 * off) if av <= v else \
-                        pu + (ai << 8 * off)
-                    digits = s.to_bytes(top if top > ln else ln, "little")[
-                        :ln].translate(mod)
-                    if fast and digits[0]:
-                        acc = lo, digits.rstrip(b"\0"), prec
-                        continue
-                acc = self.make(lo, digits, prec)
-                acc = None if self.is_zero(acc) else \
-                    (acc.val, acc.unit, acc.prec)
-            out.append(self.zero if acc is None else LaurentScalar(*acc))
+                    s = pi + (s << 8 * (lo - v))
+                    top += lo - v
+                    if n > top:
+                        top = n
+                    lo = v
+            if lo is None:
+                out.append(zero if end is None else
+                           LaurentScalar(end, empty, 0))
+                continue
+            if end is None:
+                digits, ln = au if mod is None else s.to_bytes(
+                    top, "little").translate(mod), None
+            else:
+                ln = end - lo
+                if ln <= 0:
+                    out.append(LaurentScalar(end, empty, 0))
+                    continue
+                digits = au[:ln] if mod is None else s.to_bytes(
+                    top if top > ln else ln, "little")[:ln].translate(mod)
+            if digits[0] and len(digits) <= cap:    # normal once rstripped
+                out.append(LaurentScalar(lo, _rstrip(digits) if mod is None
+                                         else digits.rstrip(b"\0"), ln))
+            else:
+                out.append(make(lo, digits, ln))
         return out
 
     def add_shifted(self, lo, hi, off, n):
@@ -382,13 +444,16 @@ class LaurentDomain:
                 return LaurentScalar(x.val * self.p ** m, self._empty, 0)
             return x
         step = self.p ** m
-        frob = self.base.frob
         ln = (len(x.unit) - 1) * step + 1
         prec = None if x.prec is None else x.prec * step
-        out = [0] * ln
-        for i, d in enumerate(x.unit):
-            if d:
-                out[i * step] = frob(d, m)
+        out = bytearray(ln) if type(x.unit) is bytes else [0] * ln
+        if self.base.k == 1:                # a^p = a over F_p
+            out[::step] = x.unit
+        else:
+            frob = self.base.frob
+            for i, d in enumerate(x.unit):
+                if d:
+                    out[i * step] = frob(d, m)
         return self.make(x.val * step, out, prec)
 
     def frob_root(self, x, m=1):

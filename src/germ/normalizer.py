@@ -247,8 +247,7 @@ class _Engine:
         dom = self.dom
         exps = {}
         for s, coeff in slots:
-            cur = exps.get(s, dom.zero)
-            exps[s] = dom.add(cur, coeff)
+            exps[s] = dom.add(exps[s], coeff) if s in exps else coeff
         if not dom.is_zero(zl):
             exps[0] = dom.sub(exps.get(0, dom.zero), zl)
         exps = {s: c for s, c in exps.items() if not dom.is_zero(c)}
@@ -346,10 +345,10 @@ class _Engine:
     def _member_residual_zero(self, piece, z):
         dom = self.dom
         n, lhs0, zl, rhs0, slots = piece
-        lhs = dom.add(lhs0, dom.mul(zl, z))
-        rhs = rhs0
-        for s, coeff in slots:
-            rhs = dom.add(rhs, dom.mul(coeff, dom.frob(z, s)))
+        one = dom.one
+        lhs = dom.dot([(lhs0, one), (zl, z)])
+        rhs = dom.dot([(rhs0, one)] +
+                      [(coeff, dom.frob(z, s)) for s, coeff in slots])
         return dom.is_zero_to_prec(dom.sub(lhs, rhs))
 
 

@@ -38,6 +38,7 @@ protocol alone:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +48,27 @@ import math
 class OrderedLeft:
     """The left side, pulled when read: coefficient n is one ``dot`` of
     (phi_h, W_h[n]) over the fixed h <= n/d, h increasing, with W_h =
-    W_(h-1) * w by one ``conv`` each.  A sum is kept with its term count
-    and extended after a leading (sum, 1) pair: the same partial sums."""
+    W_(h-1) * w by one ``conv`` each.  The h whose W_h[n] is the exact
+    zero, which ``dot`` skips, are left out when the W_h is formed.  A sum
+    is kept with its term count and extended after a leading (sum, 1)
+    pair: the same partial sums."""
 
     def __init__(self, dom, unit, d, n_hi):
         self.dom, self.d, self.n_hi = dom, d, n_hi
-        self.wlist = [unit]                 # W_h = (1+eps) * w^h
+        self.wlist = []                     # W_h = (1+eps) * w^h
+        self.nonzero = [[] for _ in range(n_hi + 1)]    # h: W_h[n] != 0
+        self._keep(unit, 0)
         self.phis = [dom.one]
         self.sums = [(0, dom.zero)] * (n_hi + 1)    # (terms, their sum)
+
+    def _keep(self, w, lo):
+        """Append W_h = w, which vanishes below degree lo, and enter h in
+        ``nonzero`` at each degree where W_h is not the exact zero."""
+        h, is_zero, nonzero = len(self.wlist), self.dom.is_zero, self.nonzero
+        self.wlist.append(w)
+        for n in range(lo, min(len(w), self.n_hi + 1)):
+            if not is_zero(w[n]):
+                nonzero[n].append(h)
 
     def _W(self, h):
         dom, d, n_hi = self.dom, self.d, self.n_hi
@@ -63,8 +77,7 @@ class OrderedLeft:
             lo = d * len(self.wlist)
             prod = dom.conv(self.wlist[-1][lo - d: n_hi + 1 - d],
                             self.wlist[0], n_hi - lo)
-            self.wlist.append(dom.vector([dom.zero] * min(lo, n_hi + 1)) +
-                              prod)
+            self._keep(dom.vector([dom.zero] * min(lo, n_hi + 1)) + prod, lo)
         return self.wlist[h]
 
     def coef(self, n):
@@ -72,9 +85,10 @@ class OrderedLeft:
         done, acc = self.sums[n]
         if done < top:              # a first read's acc is the exact zero
             self._W(top - 1)
-            wlist, phis = self.wlist, self.phis
+            wlist, phis, hs = self.wlist, self.phis, self.nonzero[n]
             acc = self.dom.dot([(acc, self.dom.one)] + [
-                (phis[h], wlist[h][n]) for h in range(done, top)])
+                (phis[h], wlist[h][n])
+                for h in hs[bisect_left(hs, done): bisect_left(hs, top)]])
             self.sums[n] = (top, acc)
         return acc
 

@@ -17,16 +17,19 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, given, settings,  # noqa: E402
+                        strategies as st)
 
 from germ.analytic import (LaurentDomain, LaurentScalar,  # noqa: E402
                            conjugacy_to_truncation)
 from germ.fields import field_create  # noqa: E402
 from germ.series import Series  # noqa: E402
-from germ_testutil import (growth_germ, laurent_add_reference,  # noqa: E402
-                           laurent_conv_reference, laurent_dot_reference,
-                           laurent_lift_series, laurent_mk_reference,
-                           laurent_mul_reference, schoolbook_field_neg)
+from germ_testutil import (growth_germ,  # noqa: E402
+                           laurent_accumulate_reference,
+                           laurent_add_reference, laurent_conv_reference,
+                           laurent_dot_reference, laurent_lift_series,
+                           laurent_mk_reference, laurent_mul_reference,
+                           reference_frob, schoolbook_field_neg)
 
 
 # F_2, F_4: packed xor; F_3, F_5, F_7: packed add and translate, and F_5 and
@@ -130,7 +133,9 @@ def _reference_dot(dom, pairs):
 def dot_operands(draw):
     dom = draw(st.sampled_from(KERNEL_DOMAINS))
     factors = st.tuples(term_scalars(dom), term_scalars(dom))
-    pairs = draw(st.lists(factors, max_size=6))
+    # up to 12 pairs: units at the cap fill a packed byte slot within a
+    # cell, which is then reduced between two products
+    pairs = draw(st.lists(factors, max_size=12))
     if len(pairs) > 1 and draw(st.booleans()):
         # a later term 1 * y cancels the leading digits of the sum so far
         k = draw(st.integers(1, len(pairs) - 1))
@@ -263,17 +268,146 @@ def test_laurent_conv_matches_reference(operands):
     assert all(type(x.unit) is _unit_type(dom) for x in got)
 
 
+def _exact(draw, dom, val, n):
+    """An exact scalar at t^val of n digits, both ends nonzero."""
+    top = dom.base.q - 1
+    digits = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    digits[0], digits[-1] = digits[0] or 1, digits[-1] or top
+    return _in_domain(dom, laurent_mk_reference(dom, val, digits, None))
+
+
+def _term(draw, dom, x):
+    """A pair whose product is x: (x, 1), or x / c times the monomial
+    c t^k, which runs the product path."""
+    if draw(st.booleans()):
+        return x, dom.one
+    k = draw(st.integers(-2, 2))
+    c = draw(st.integers(1, dom.base.q - 1))
+    base = dom.base
+    digits = [base.mul(d, base.inv(c)) for d in x.unit]
+    x = laurent_mk_reference(dom, x.val - k, digits, x.prec) if x.unit \
+        else LaurentScalar(x.val - k, (), x.prec)
+    return _in_domain(dom, x), dom.t_power(k, c)
+
+
+def _cancel(draw, dom, x):
+    """An exact scalar at x.val whose leading digits are -x's: all of x's,
+    or some, followed by other digits."""
+    lead = draw(st.integers(1, len(x.unit)))
+    digits = [dom.base.neg(d) for d in x.unit[:lead]]
+    if lead < len(x.unit) or draw(st.booleans()):
+        digits += [draw(st.integers(1, dom.base.q - 1))]
+    return _in_domain(dom, laurent_mk_reference(dom, x.val, digits, None))
+
+
+@st.composite
+def trigger_cells(draw):
+    """A cell that reaches one point where the accumulate loop reads the
+    digits of its sum, or one rule of its window, followed by a few drawn
+    terms:
+
+    - ``span``: an exact prefix whose span crosses the cap, the first
+      term's leading digits cancelled or not, so the sum stays exact or
+      is cut at the cap;
+    - ``transition``: an exact prefix with least val lo, then an inexact
+      term at v > lo ending past lo + cap, the prefix's leading digits
+      cancelling (some, all, or none);
+    - ``vanishing``: O(t^v) after an exact prefix, v below, at, inside
+      and past the prefix's window;
+    - ``exact-after``: exact terms after an inexact one, below and above
+      it, long enough to cross the cap.
+    """
+    dom = draw(st.sampled_from(KERNEL_DOMAINS))
+    cap = dom.prec
+    kind = draw(st.sampled_from(["span", "transition", "vanishing",
+                                 "exact-after"]))
+    lo = draw(st.integers(-3, 3))
+    a = _exact(draw, dom, lo, draw(st.integers(1, min(cap, 6))))
+    prefix = [a]
+    if draw(st.booleans()):
+        prefix.append(_cancel(draw, dom, a))
+    if kind == "span":
+        n = draw(st.integers(1, cap))
+        off = draw(st.integers(max(1, cap + 1 - n), cap + 2))
+        prefix.append(_exact(draw, dom, lo + off, n))
+        terms = prefix
+    elif kind == "transition":
+        pp = draw(st.integers(1, cap))
+        v = lo + max(1, cap - pp + 1) + draw(st.integers(0, 3))
+        n = draw(st.integers(1, pp))
+        t = _exact(draw, dom, v, n)
+        terms = prefix + [_in_domain(dom, laurent_mk_reference(
+            dom, v, list(t.unit), pp))]
+    elif kind == "vanishing":
+        v = lo + draw(st.sampled_from([-2, 0, 1, cap - 1, cap, cap + 3]))
+        terms = prefix + [LaurentScalar(v, _unit_type(dom)(), 0)]
+    else:
+        first = draw(laurent_scalars(dom))
+        assume(first.prec is not None)
+        terms = [_in_domain(dom, first)]
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(1, cap))
+            terms.append(_exact(draw, dom, first.val + draw(
+                st.integers(-cap - 2, cap + 2)), n))
+    cell = [_term(draw, dom, x) for x in terms]
+    drawn = st.lists(st.tuples(term_scalars(dom), term_scalars(dom)).map(
+        lambda xy: tuple(_in_domain(dom, z) for z in xy)), max_size=3)
+    # a cell of drawn terms goes first, so the trigger cell starts after
+    # another cell's state
+    return dom, [draw(drawn), cell + draw(drawn)]
+
+
+@kernel_laws
+@given(trigger_cells())
+def test_accumulate_at_its_triggers_matches_reference(operands):
+    dom, cells = operands
+    got = dom._accumulate(*cells)
+    want = laurent_accumulate_reference(dom, *cells)
+    assert [_triple(x) for x in got] == [_triple(x) for x in want]
+    assert all(type(x.unit) is _unit_type(dom) for x in got)
+
+
+def _frob_reference(dom, x, m):
+    """x^(p^m) digit by digit: each digit by ``reference_frob`` at step
+    p^m, the precision p^m-fold."""
+    if m == 0 or dom.is_zero(x):
+        return x
+    step = dom.p ** m
+    if not x.unit:
+        return LaurentScalar(x.val * step, (), 0)
+    digits = [0] * ((len(x.unit) - 1) * step + 1)
+    for i, d in enumerate(x.unit):
+        digits[i * step] = reference_frob(dom.base, d, m)
+    return laurent_mk_reference(dom, x.val * step, digits,
+                                None if x.prec is None else x.prec * step)
+
+
+@kernel_laws
+@given(st.data())
+def test_frob_matches_the_digit_map(data):
+    # over a prime field one slice assignment, over F_{p^k} a Frobenius per
+    # digit: exact, capped, zero to precision and the exact zero
+    dom = data.draw(st.sampled_from(KERNEL_DOMAINS))
+    x = _in_domain(dom, data.draw(laurent_scalars(dom)))
+    for m in (0, 1, 2):
+        got = dom.frob(x, m)
+        assert _triple(got) == _triple(_frob_reference(dom, x, m))
+        assert type(got.unit) is _unit_type(dom)
+
+
 def test_slots_at_the_packed_bound():
     # a sum so far with every digit at q - 1, plus the product of two units
-    # of prec digits at q - 1, fills digit prec - 1 to (p-1) + prec*(p-1)**2
+    # of prec digits at q - 1, fills digit prec - 1 to (p-1) + prec*(p-1)**2;
+    # twelve such products pass 255 in one cell unless it is reduced
+    # between them
     for dom in KERNEL_DOMAINS:
         top = dom.base.q - 1
         for prec in (None, dom.prec):
             x = _in_domain(dom, laurent_mk_reference(dom, 0, [top] * dom.prec,
                                                      prec))
-            pairs = [(x, dom.one), (x, x)]
-            assert _triple(dom.dot(pairs)) == \
-                _triple(_reference_dot(dom, pairs))
+            for pairs in ([(x, dom.one), (x, x)], [(x, x)] * 12):
+                assert _triple(dom.dot(pairs)) == \
+                    _triple(_reference_dot(dom, pairs))
             a, b = [dom.one, x], [x, x]
             want = laurent_conv_reference(dom, a, b, 1, laurent_add_reference,
                                           laurent_mul_reference)
