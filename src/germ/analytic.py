@@ -38,8 +38,8 @@ class LaurentScalar:
 
     The unit is a vector of the base field's type (``Field.vector``), so
     the Field kernels read and return it as it is.  Over a packed domain
-    ``num`` keeps the unit as a little-endian int once the accumulate loop
-    has read it."""
+    ``num`` keeps the unit as (a little-endian int, its digit count) once
+    the accumulate loop has read it."""
 
     __slots__ = ("val", "unit", "prec", "num")
 
@@ -76,6 +76,13 @@ def _rstrip(digits):
     while n and digits[n - 1] == 0:
         n -= 1
     return digits[:n]
+
+
+def _packed(x):
+    """The unit of x as (a little-endian int, its digit count), kept as
+    ``x.num``."""
+    x.num = num = (int.from_bytes(x.unit, "little"), len(x.unit))
+    return num
 
 
 _DOMAINS = {}
@@ -239,10 +246,10 @@ class LaurentDomain:
         is normalized by ``make``, and counts on as one exact term.
 
         The digits branch twice on the back-end.  Over a packed domain
-        each unit is read as a little-endian int once (kept as the
-        scalar's ``num``) and each product, one int product, is added
-        unreduced at its offset; a translate reduces the sum only when a
-        byte slot could overflow, a product of units of lx and ly digits
+        each unit is read as a little-endian int and a digit count once
+        (kept as the scalar's ``num``) and each product, one int product, is
+        added unreduced at its offset; a translate reduces the sum only when
+        a byte slot could overflow, a product of units of lx and ly digits
         adding at most min(lx, ly)*(p-1)^2 to a slot.  Elsewhere a product
         is ``Field.conv`` of the units and a sum ``Field.add_shifted``.
         """
@@ -263,7 +270,11 @@ class LaurentDomain:
                 if y is one:                # x as made: n <= prec <= cap
                     if not xu and xp is None:
                         continue
-                    n, pp = len(xu), xp
+                    if mod is None:
+                        n = len(xu)
+                    else:
+                        xi, n = x.num or _packed(x)
+                    pp = xp
                 else:
                     yu, yp = y.unit, y.prec
                     if not xu or not yu:
@@ -271,7 +282,11 @@ class LaurentDomain:
                             continue                # an exact zero
                         n = pp = 0                  # O(t^v)
                     else:
-                        lx, ly = len(xu), len(yu)
+                        if mod is None:
+                            lx, ly = len(xu), len(yu)
+                        else:
+                            xi, lx = x.num or _packed(x)
+                            yi, ly = y.num or _packed(y)
                         n = lx + ly - 1
                         if xp is None and yp is None:
                             # the leading digit of a product never cancels,
@@ -326,15 +341,9 @@ class LaurentDomain:
                         au = add_shifted(pu, au, lo - v, top)
                         lo = v
                     continue
-                xi = x.num
-                if xi is None:
-                    xi = x.num = frm(xu, "little")
                 if y is one:
                     pi, ld = xi, p1
                 else:
-                    yi = y.num
-                    if yi is None:
-                        yi = y.num = frm(yu, "little")
                     pi = xi * yi
                     ld = (lx if lx < ly else ly) * sq
                 if lo is None:

@@ -197,7 +197,7 @@ def _is_irreducible(f, p, start=1):
 
     x**(p**d) mod f comes from the fold-row product built from f.  The
     x**(p**d) - x are multiplied together mod f and the product's gcd with
-    f (:func:`_poly_gcd`) is taken at d = 1, 2, 4, 8, .. and n/2, so a
+    f (:meth:`_FoldProduct.gcd`) is taken at d = 1, 2, 4, 8, .. and n/2, so a
     factor of degree d shows at the first of those at or after d, for a
     gcd per doubling of d instead of one per d.  A caller that has ruled
     out every factor of degree below ``start`` passes it."""
@@ -205,7 +205,7 @@ def _is_irreducible(f, p, start=1):
     last = n // 2
     if n <= 1 or start > last:
         return n >= 1
-    ring, fp = _FoldProduct(p, f), field_create(p, 1)
+    ring = _FoldProduct(p, f)
     y, acc = p, 1                               # p: the code of x
     for d in range(1, last + 1):
         y = ring.pow(y, p)
@@ -215,7 +215,7 @@ def _is_irreducible(f, p, start=1):
         h = y - p if y // p % p else y + (p - 1) * p
         acc = h if acc == 1 else ring.mul(acc, h)
         if d & (d - 1) == 0 or d == last:
-            if len(_poly_gcd(fp, f, _strip(list(ring.digits(acc))))) != 1:
+            if len(ring.gcd(f, ring.digits(acc))) != 1:
                 return False
             acc = 1
     return True
@@ -556,6 +556,34 @@ class _FoldProduct:
             if e:
                 x = self.spread(self.product(x, x, 1, stride, width), width)
         return 1 if r is None else self.code(self.reduce(r, self.n, width))
+
+    def gcd(self, a, b):
+        """The monic gcd of two polynomials over Z_p, digit sequences low
+        first, as a list: Euclid on the digits packed one ``width``-byte
+        slot apiece.  Each quotient digit c of x mod a monic y adds
+        (p - c) * y under x's leading slot, which takes that slot to p, and
+        reduces once: a slot then holds at most p(p - 1) <= 2(p - 1)**2,
+        within the width for n >= 2."""
+        p, width, reduce, spread = self.p, self.width, self.reduce, \
+            self.spread
+        bits = 8 * width
+        x, y = spread(a, width), spread(b, width)
+        while y:
+            dy = (y.bit_length() - 1) // bits
+            c = y >> bits * dy
+            if c != 1:
+                y = spread(reduce(y * pow(c, -1, p), dy + 1, width), width)
+            while x:
+                dx = (x.bit_length() - 1) // bits
+                if dx < dy:
+                    break
+                x += (p - (x >> bits * dx)) * y << bits * (dx - dy)
+                x = spread(reduce(x, dx, width), width)
+            x, y = y, x
+        if not x:
+            return []
+        dx = (x.bit_length() - 1) // bits
+        return list(reduce(x * pow(x >> bits * dx, -1, p), dx + 1, width))
 
     def linear(self, cols, a):
         """The digits of the image of code a under the F_p-linear map that

@@ -63,12 +63,14 @@ class OrderedLeft:
 
     def _keep(self, w, lo):
         """Append W_h = w, which vanishes below degree lo, and enter h in
-        ``nonzero`` at each degree where W_h is not the exact zero."""
-        h, is_zero, nonzero = len(self.wlist), self.dom.is_zero, self.nonzero
+        ``nonzero`` at each degree where W_h is not ``dom.zero``, the exact
+        zero the kernels give back (an exact zero made otherwise would be
+        entered, and ``dot`` skips it)."""
+        h, zero, nonzero = len(self.wlist), self.dom.zero, self.nonzero
         self.wlist.append(w)
-        for n in range(lo, min(len(w), self.n_hi + 1)):
-            if not is_zero(w[n]):
-                nonzero[n].append(h)
+        for n in [n for n, c in enumerate(w[lo: self.n_hi + 1], lo)
+                  if c != zero]:
+            nonzero[n].append(h)
 
     def _W(self, h):
         dom, d, n_hi = self.dom, self.d, self.n_hi

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 from germ.analytic import LaurentDomain, LaurentScalar
+from germ.cli import _count, _natural, _Parser, _prime, _r_sequence
 from germ.errors import UnassignedDependency, ValidationError
 from germ.fields import (Field, NeedExtension, _FoldProduct, _poly_divmod,
                          _poly_gcd, _poly_mul, _strip, compose_by_powers,
@@ -721,3 +722,84 @@ def lhs_rhs_coeffs(f, f_target, phi, n):
             f"degree {n} exceeds determined range (lhs {lhs.trunc}, "
             f"rhs {rhs.trunc})")
     return lhs.coeff(n), rhs.coeff(n)
+
+
+def reference_parser():
+    """The ``germ`` argument parser as stated one ``add_argument`` at a time,
+    the reference for the parser that ``germ.cli`` builds from its command
+    table: the same help text and the same namespaces."""
+    ap = _Parser(
+        prog="germ",
+        description="classify superattracting germs in characteristic p")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def germ_arg(sp):
+        sp.add_argument("germ", help="germ JSON file")
+
+    sp = sub.add_parser("invariants", help="compute (m, d, e, r)")
+    germ_arg(sp)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("normalize", help="normal form and witness")
+    germ_arg(sp)
+    sp.add_argument("--choice", default="ndoubleprime",
+                    choices=["nprime", "ndoubleprime"])
+    sp.add_argument("--order", type=_count, default=64)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--allow-extension", dest="allow_extension",
+                    action="store_true", default=True)
+    sp.add_argument("--no-extension", dest="allow_extension",
+                    action="store_false")
+    sp.add_argument("--transcript")
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("bottcher", help="coprime-degree product witness")
+    germ_arg(sp)
+    sp.add_argument("--order", type=_count, default=64)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("conjcheck", help="verify a conjugacy by composition")
+    sp.add_argument("f")
+    sp.add_argument("g")
+    sp.add_argument("phi")
+    sp.add_argument("--order", type=_count, default=64)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("compose", help="compose two germs, check the bound")
+    sp.add_argument("f")
+    sp.add_argument("g")
+    sp.add_argument("--order", type=_count)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("iterate", help="iterate invariants")
+    germ_arg(sp)
+    sp.add_argument("--n", type=_count, required=True)
+    sp.add_argument("--check", action="store_true")
+    sp.add_argument("--order", type=_count)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("infinity", help="germ at infinity of a polynomial")
+    sp.add_argument("poly")
+    sp.add_argument("--order", type=_count)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("multinorm", help="monomial conjugacy in N variables")
+    germ_arg(sp)
+    sp.add_argument("--degree", type=_count, default=12)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("growth", help="t-adic growth certificate")
+    germ_arg(sp)
+    sp.add_argument("--order", type=_count, default=64)
+    sp.add_argument("--out")
+
+    sp = sub.add_parser("jtable", help="fiber-index table as TSV")
+    sp.add_argument("--p", type=_prime, required=True)
+    sp.add_argument("--m", type=_natural, default=0)
+    sp.add_argument("--d", type=_count, help="defaults to the smallest degree "
+                    "matching the r sequence")
+    sp.add_argument("--r", type=_r_sequence, required=True,
+                    help="comma-separated r sequence")
+    sp.add_argument("--nmax", type=_natural, default=30)
+    sp.add_argument("--out")
+    return ap

@@ -9,11 +9,12 @@ import pytest
 import germ
 from germ import analytic, jsonio, normalizer
 from germ.analytic import LaurentDomain
-from germ.cli import main
+from germ.cli import COMMANDS, build_parser, main
 from germ.fields import field_create
 from germ.multidim import MultiGerm, MultiSeries
 from germ.series import Germ1D, Series
-from germ_testutil import laurent_germ_to_dict, series_from_ints
+from germ_testutil import (laurent_germ_to_dict, reference_parser,
+                           series_from_ints)
 
 F3 = field_create(3, 1)
 
@@ -248,9 +249,23 @@ _BAD_INPUTS = [
     ("negative-order", {"f": _GERM}, ["normalize", "{f}", "--order", "-3"]),
     ("order-not-int", {"f": _GERM},
      ["compose", "{f}", "{f}", "--order", "x"]),
-    ("composite-p", {}, ["jtable", "--p", "4", "--r", "1"]),
+    ("order-0", {"f": _GERM}, ["normalize", "{f}", "--order", "0"],
+     "error: germ normalize: argument --order: 0 is not an integer >= 1"),
+    ("seed-not-int", {"f": _GERM}, ["normalize", "{f}", "--seed", "x"]),
+    ("n-not-int", {"f": _GERM}, ["iterate", "{f}", "--n", "x"],
+     "error: germ iterate: argument --n: 'x' is not an integer"),
+    ("degree-0", {"f": _GERM}, ["multinorm", "{f}", "--degree", "0"]),
+    ("composite-p", {}, ["jtable", "--p", "4", "--r", "1"],
+     "error: germ jtable: argument --p: 4 is not a prime"),
+    ("m-negative", {}, ["jtable", "--p", "3", "--m", "-1", "--r", "1,0"]),
+    ("d-0", {}, ["jtable", "--p", "3", "--d", "0", "--r", "1,0"]),
+    ("nmax-negative", {},
+     ["jtable", "--p", "3", "--r", "1,0", "--nmax", "-1"],
+     "error: germ jtable: argument --nmax: -1 is not an integer >= 0"),
     ("r-e-nonzero", {}, ["jtable", "--p", "3", "--r", "1"]),
-    ("r-not-ints", {}, ["jtable", "--p", "3", "--r", "1,zero"]),
+    ("r-not-ints", {}, ["jtable", "--p", "3", "--r", "1,zero"],
+     "error: germ jtable: argument --r: '1,zero' is not a comma-separated "
+     "list of integers"),
     ("unknown-command", {}, ["frobnicate"]),
     ("growth-on-field-germ", {"f": _GERM}, ["growth", "{f}"]),
     ("ragged-matrix", {"f": {"field": _FIELD3, "N": 2, "C": [[1], [1]],
@@ -383,3 +398,51 @@ def test_main_calls_in_one_process_match_separate_processes(
             outcomes[outdir].append(_outcome(code, out, err, outdir))
     assert [o[0] for o in outcomes[together]] == [0, 0, 1, 0, 0, 0]
     assert outcomes[together] == outcomes[apart]
+
+
+def _help(parser, argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args([*argv, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in COMMANDS],
+                         ids=lambda argv: " ".join(["germ", *argv]))
+def test_help_matches_reference_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(build_parser(), argv, capsys) == \
+        _help(reference_parser(), argv, capsys)
+
+
+# every option of every command at least once, and every default
+_ARGV_TABLE = [
+    ["invariants", "f.json"],
+    ["invariants", "f.json", "--out", "inv.json"],
+    ["normalize", "f.json"],
+    ["normalize", "f.json", "--choice", "nprime", "--order", "20", "--seed",
+     "-3", "--no-extension", "--transcript", "tr.jsonl", "--out", "-"],
+    ["normalize", "f.json", "--no-extension", "--allow-extension"],
+    ["bottcher", "f.json", "--order", "16"],
+    ["conjcheck", "f.json", "g.json", "phi.json"],
+    ["conjcheck", "f.json", "g.json", "phi.json", "--order", "8"],
+    ["compose", "f.json", "g.json"],
+    ["compose", "f.json", "g.json", "--order", "40", "--out", "c.json"],
+    ["iterate", "f.json", "--n", "2"],
+    ["iterate", "f.json", "--n", "3", "--check", "--order", "30"],
+    ["infinity", "poly.json"],
+    ["infinity", "poly.json", "--order", "8"],
+    ["multinorm", "mg.json"],
+    ["multinorm", "mg.json", "--degree", "6"],
+    ["growth", "lf.json"],
+    ["growth", "lf.json", "--order", "40", "--out", "g.tsv"],
+    ["jtable", "--p", "3", "--r", "19,12,0"],
+    ["jtable", "--p", "5", "--m", "1", "--d", "18", "--r", "1,0", "--nmax",
+     "4", "--out", "t.tsv"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_TABLE, ids=" ".join)
+def test_parser_matches_reference_parser(argv):
+    assert build_parser().parse_args(argv) == \
+        reference_parser().parse_args(argv)

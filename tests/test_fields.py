@@ -9,8 +9,9 @@ import pytest
 from germ import fields
 from germ.errors import (CompositeP, DivisionByZero, FieldTooLarge,
                          IncompatibleFields, NoRootInField, ReducibleModulus)
-from germ.fields import (_REGISTRY, Field, NeedExtension, _is_irreducible,
-                         _poly_mul, _prime_factors, additive_roots, climb,
+from germ.fields import (_REGISTRY, Field, NeedExtension, _FoldProduct,
+                         _is_irreducible, _poly_gcd, _poly_mul,
+                         _prime_factors, _strip, additive_roots, climb,
                          default_modulus, field_create, poly_roots,
                          root_extension)
 from germ_testutil import (reference_additive_roots, reference_is_irreducible,
@@ -465,6 +466,28 @@ def test_factor_sieve_and_ben_or_match_the_full_test():
         assert (sieve(f) and _is_irreducible(f, p, top + 1)) == want, (p, f)
         seen[want] += 1
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31, 257])
+def test_packed_gcd_matches_poly_gcd(p):
+    # derandomized: Ben-Or's pairs (f monic of degree n, then n digits of a
+    # lower-degree g, trailing zeros kept, as bytes when p < 256), both
+    # orders, and the pair times a common factor, on the ring of f
+    fp = field_create(p, 1)
+    rng = random.Random(p)
+    for _ in range(40):
+        n = rng.randrange(2, 30)
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        ring = _FoldProduct(p, f)
+        g = [rng.randrange(p) for _ in range(rng.randrange(n))]
+        g += [0] * (n - len(g))
+        h = [rng.randrange(p) for _ in range(rng.randrange(n))] + \
+            [1 + rng.randrange(p - 1)]
+        for a, b in [(f, bytes(g) if p < 256 else g), (g, f),
+                     (_poly_mul(fp, f, h), _poly_mul(fp, _strip(g), h)),
+                     (g, []), ([], [])]:
+            assert ring.gcd(a, b) == \
+                _poly_gcd(fp, _strip(list(a)), _strip(list(b))), (a, b)
 
 
 @pytest.mark.parametrize("p,k", [(2, 16), (3, 9)])
